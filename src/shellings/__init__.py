@@ -40,7 +40,7 @@ from .closed_forms import (
     stanley_inner_sum,
     stanley_sum_count,
 )
-from .errors import EdgeListParseError, GuardExceeded, NotATreeError
+from .errors import EdgeListParseError, ExactnessError, GuardExceeded, NotATreeError
 from .graphs import (
     Graph,
     GraphClass,
@@ -76,12 +76,10 @@ from .oracle import (
 from .report import Report
 from .trees import (
     RootedTree,
-    WeightVector,
     all_root_counts,
     hook_count,
     root_tree,
     tree_count,
-    weights,
 )
 
 __version__ = "0.1.0"

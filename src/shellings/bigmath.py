@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import ExactnessError
+
 Nat = int
 Rat = Fraction
 
@@ -39,7 +41,8 @@ def catalan(n: int) -> Nat:
     if n < 0:
         raise ValueError(f"catalan of negative {n}")
     q, r = divmod(math.comb(2 * n, n), n + 1)
-    assert r == 0
+    if r:
+        raise ExactnessError("Catalan division must be exact")
     return q
 
 
@@ -86,7 +89,8 @@ def _frac_part(a: Fraction) -> Fraction:
 def _pochhammer_ratio(p: Fraction, q: Fraction) -> Fraction:
     """Gamma(p)/Gamma(q) for p - q an integer, as an exact rational."""
     diff = p - q
-    assert diff.denominator == 1
+    if diff.denominator != 1:
+        raise ExactnessError("Gamma arguments must differ by an integer")
     d = int(diff)
     out = Fraction(1)
     if d >= 0:

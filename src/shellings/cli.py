@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import closed_forms, sweeps
 from .bounds import bound_report, mid_spider
-from .errors import EdgeListParseError, GuardExceeded, NotATreeError
+from .errors import EdgeListParseError, ExactnessError, GuardExceeded, NotATreeError
 from .graphs import (
     Graph,
     all_labeled_trees,
@@ -316,6 +316,9 @@ def main(argv=None) -> int:
     except (GuardExceeded, NotATreeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except ExactnessError as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return CHECK_FAILURE
 
 
 if __name__ == "__main__":

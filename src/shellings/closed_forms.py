@@ -2,8 +2,8 @@
 graphs, and paths, plus the summation formula over 0/1-sequences that the
 bipartite closed form collapses.
 
-Every division here is exact by theorem, so remainders are asserted to be
-zero rather than tolerated.
+Every division here is exact by theorem, so a remainder raises
+ExactnessError rather than being tolerated.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .bigmath import Nat, Rat, binomial, catalan, factorial
-from .errors import GuardExceeded
+from .errors import ExactnessError, GuardExceeded
 
 DEFAULT_MAX_STANLEY_TERMS = 10**6
 
@@ -22,7 +22,8 @@ def complete_graph_count(n: int) -> Nat:
     if n < 2:
         raise ValueError(f"complete_graph_count requires n >= 2, got {n}")
     q, r = divmod(2 ** (n - 2) * factorial(n * (n - 1) // 2), catalan(n - 1))
-    assert r == 0, "Catalan division must be exact"
+    if r:
+        raise ExactnessError("Catalan division must be exact")
     return q
 
 
@@ -31,7 +32,8 @@ def complete_bipartite_count(m: int, n: int) -> Nat:
     if m < 1 or n < 1:
         raise ValueError(f"part sizes must be positive, got ({m}, {n})")
     q, r = divmod(factorial(m) * factorial(n) * factorial(m * n), factorial(m + n - 1))
-    assert r == 0, "factorial division must be exact"
+    if r:
+        raise ExactnessError("factorial division must be exact")
     return q
 
 
@@ -87,9 +89,10 @@ def stanley_inner_sum(m: int, n: int, max_terms: int = DEFAULT_MAX_STANLEY_TERMS
 
 
 def stanley_sum_count(m: int, n: int, max_terms: int = DEFAULT_MAX_STANLEY_TERMS) -> Nat:
-    """F(K_{m,n}) via the 0/1-sequence sum; asserts the total is an integer."""
+    """F(K_{m,n}) via the 0/1-sequence sum; the total must be an integer."""
     total = factorial(m) * factorial(n) * factorial(m * n - 1) * stanley_inner_sum(m, n, max_terms)
-    assert total.denominator == 1, "summation total must be an integer"
+    if total.denominator != 1:
+        raise ExactnessError("summation total must be an integer")
     return total.numerator
 
 

@@ -19,3 +19,7 @@ class EdgeListParseError(ValueError):
 
 class NotATreeError(ValueError):
     """A tree-only operation was applied to a non-tree graph."""
+
+
+class ExactnessError(ArithmeticError):
+    """A division that a theorem makes exact left a remainder."""

@@ -77,6 +77,11 @@ class Graph:
         return "\n".join(lines) + "\n"
 
 
+def _is_ascii_number(token: str) -> bool:
+    """Only 0-9: str.isdigit() also accepts superscripts and other scripts' digits."""
+    return token.isascii() and token.isdigit()
+
+
 def parse_edge_list(text: str | bytes) -> Graph:
     """Parse the edge-list format.
 
@@ -98,11 +103,11 @@ def parse_edge_list(text: str | bytes) -> Graph:
         if parts[0] == "n":
             if declared is not None:
                 raise EdgeListParseError("duplicate header line", line_no)
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not _is_ascii_number(parts[1]):
                 raise EdgeListParseError(f"malformed header {line!r}", line_no)
             declared = int(parts[1])
             continue
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        if len(parts) != 2 or not all(_is_ascii_number(p) for p in parts):
             raise EdgeListParseError(f"malformed line {line!r}", line_no)
         u, v = int(parts[0]), int(parts[1])
         if u == v:

@@ -11,10 +11,8 @@ is the total (each shelling's first edge has two endpoints).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
-from .bigmath import Nat, Rat, factorial
-from .errors import NotATreeError
+from .bigmath import Nat, factorial
+from .errors import ExactnessError, NotATreeError
 from .graphs import Graph
 
 
@@ -59,7 +57,8 @@ def hook_count(rt: RootedTree) -> Nat:
     for s in rt.subtree_size:
         denom *= s
     q, r = divmod(factorial(n), denom)
-    assert r == 0, "hook product must divide n!"
+    if r:
+        raise ExactnessError("hook product must divide n!")
     return q
 
 
@@ -68,7 +67,7 @@ def all_root_counts(g: Graph, seed_root: int = 0) -> list[Nat]:
 
     Each propagation step multiplies by the child subtree size and divides
     by its complement; every intermediate value is an integer and the
-    division is asserted exact.
+    division is checked to be exact.
     """
     if not g.is_tree():
         raise NotATreeError("all_root_counts requires a tree")
@@ -80,7 +79,8 @@ def all_root_counts(g: Graph, seed_root: int = 0) -> list[Nat]:
     for u in rt.order[1:]:
         w = rt.parent[u]
         q, r = divmod(counts[w] * size[u], n - size[u])
-        assert r == 0, "root-ratio propagation must stay integral"
+        if r:
+            raise ExactnessError("root-ratio propagation must stay integral")
         counts[u] = q
     return counts
 
@@ -97,30 +97,6 @@ def tree_count(g: Graph) -> Nat:
         return 1
     total = sum(all_root_counts(g))
     q, r = divmod(total, 2)
-    assert r == 0, "sum of rooted counts must be even"
+    if r:
+        raise ExactnessError("sum of rooted counts must be even")
     return q
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Per-vertex ratios W(u) = F(T_u) / F(T_root) for a fixed root."""
-
-    root: int
-    weights: tuple[Rat, ...]
-
-    def total(self) -> Rat:
-        return sum(self.weights, Fraction(0))
-
-
-def weights(g: Graph, v: int) -> WeightVector:
-    """W(u) by multiplying edge ratios size/(n - size) down from the root."""
-    if not g.is_tree():
-        raise NotATreeError("weights requires a tree")
-    n = g.num_vertices
-    rt = root_tree(g, v)
-    w: list[Rat] = [Fraction(0)] * n
-    w[v] = Fraction(1)
-    size = rt.subtree_size
-    for u in rt.order[1:]:
-        w[u] = w[rt.parent[u]] * Fraction(size[u], n - size[u])
-    return WeightVector(v, tuple(w))

@@ -17,7 +17,7 @@ from shellings.bounds import (
 )
 from shellings.errors import NotATreeError
 from shellings.graphs import Graph, classify, cycle_graph, path_graph, star_graph
-from shellings.trees import all_root_counts, tree_count, weights
+from shellings.trees import all_root_counts, tree_count
 
 
 def test_degree_lower_bound_equality_cases():
@@ -119,7 +119,9 @@ def test_push_fixpoint_collects_branches_at_second_to_last():
         nxt = push_branch_from_root(cur, 0)
         if nxt is None:
             break
-        assert weights(nxt, 0).total() >= weights(cur, 0).total()
+        # sum_u W(u) = sum(roots) / roots[0]; compare by cross-multiplication
+        cur_roots, nxt_roots = all_root_counts(cur), all_root_counts(nxt)
+        assert sum(nxt_roots) * cur_roots[0] >= sum(cur_roots) * nxt_roots[0]
         cur, steps = nxt, steps + 1
         assert steps < 30
     path = longest_descending_path(cur, 0)

@@ -79,6 +79,27 @@ def test_count_parse_error_exit_code(tmp_path, capsys):
     assert "self-loop" in err
 
 
+@pytest.mark.parametrize("text", ["0 1\n1 \u00b2\n", "n \u00b2\n0 1\n"])
+def test_count_non_ascii_digits_exit_code(tmp_path, capsys, text):
+    path = write_graph(tmp_path, "bad.txt", text)
+    code, out, err = run(capsys, "count", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: line ")
+
+
+def test_inexact_division_is_a_failed_check(capsys, monkeypatch):
+    import math
+
+    from shellings import closed_forms
+
+    monkeypatch.setattr(closed_forms, "factorial", lambda n: math.factorial(n) + (n == 6))
+    code, out, err = run(capsys, "formula", "kmn", "2", "3")
+    assert code == 1
+    assert out == ""
+    assert err == "check failed: factorial division must be exact\n"
+
+
 def test_tree_roots(tmp_path, capsys):
     path = write_graph(tmp_path, "p5.txt", "0 1\n1 2\n2 3\n3 4\n")
     code, doc = run_json(capsys, "tree-roots", path)

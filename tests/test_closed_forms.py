@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import shellings
 from shellings.closed_forms import (
     b_sequence,
     complete_bipartite_count,
@@ -102,3 +107,29 @@ def test_rooted_path_sum_is_twice_total():
     for n in range(2, 12):
         total = sum(rooted_path_count(n, i) for i in range(1, n + 1))
         assert total == 2 * path_count(n)
+
+
+def test_exactness_checks_survive_python_O():
+    # -O strips assert statements; the exactness checks must still raise
+    script = """
+import math, sys
+from shellings import closed_forms, trees
+from shellings.errors import ExactnessError
+from shellings.graphs import star_graph
+if not sys.flags.optimize:
+    sys.exit(3)
+closed_forms.factorial = trees.factorial = lambda n: math.factorial(n) + (n == 6)
+for call in (lambda: closed_forms.complete_bipartite_count(2, 3),
+             lambda: trees.hook_count(trees.root_tree(star_graph(6), 1))):
+    try:
+        call()
+    except ExactnessError:
+        continue
+    sys.exit(4)
+"""
+    src = str(Path(shellings.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

@@ -45,6 +45,9 @@ def test_parse_header_allows_isolated_vertices():
         ("0 1\n0 1\n", "duplicate edge"),
         ("0 1\n1 0\n", "duplicate edge"),
         ("0 x\n", "malformed"),
+        ("1 \u00b2\n", "malformed"),
+        ("\u0661 2\n", "malformed"),
+        ("n \u00b2\n0 1\n", "malformed header"),
         ("1 2 3\n", "malformed"),
         ("n 2\n0 5\n", "declared"),
         ("n 2\nn 3\n", "duplicate header"),
@@ -59,6 +62,9 @@ def test_parse_error_carries_line_number():
     with pytest.raises(EdgeListParseError) as err:
         parse_edge_list("0 1\n\n2 2\n")
     assert err.value.line_no == 3
+    with pytest.raises(EdgeListParseError) as err:
+        parse_edge_list("0 1\n1 \u00b2\n")
+    assert err.value.line_no == 2
 
 
 def test_canonical_edge_order():

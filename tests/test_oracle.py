@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shellings.errors import GuardExceeded
 from shellings.graphs import (
@@ -15,6 +17,7 @@ from shellings.oracle import (
     enumerate_shellings,
     rooted_counts_from_table,
 )
+from shellings.trees import all_root_counts, tree_count
 
 
 def test_small_anchor_counts():
@@ -113,3 +116,32 @@ def test_subset_table_conventions():
     assert table.counts[0] == 1
     assert table.counts[1] == table.counts[2] == 1
     assert table.connected[3] == 1
+
+
+@st.composite
+def connected_graphs(draw, max_edges=8):
+    """A random spanning tree on 2..9 vertices plus random extra edges, relabeled."""
+    n = draw(st.integers(2, max_edges + 1))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    others = [(u, v) for v in range(n) for u in range(v) if (u, v) not in tree]
+    k = draw(st.integers(0, min(len(others), max_edges - len(tree))))
+    extra = draw(st.permutations(others))[:k]
+    perm = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in tree + extra])
+
+
+@given(connected_graphs())
+@settings(derandomize=True, deadline=None)
+def test_dp_matches_enumeration_on_random_connected_graphs(g):
+    orders = enumerate_shellings(g)
+    assert count_shellings_dp(g) == len(orders)
+    table = build_subset_table(g)
+    rooted = []
+    for v in range(g.num_vertices):
+        expected = sum(1 for order in orders if v in g.edges[order[0]])
+        assert count_rooted_shellings_dp(g, v) == expected
+        assert rooted_counts_from_table(table, g, v) == expected
+        rooted.append(expected)
+    if g.is_tree():
+        assert all_root_counts(g) == rooted
+        assert tree_count(g) == len(orders)

@@ -12,7 +12,7 @@ from shellings.graphs import (
     star_graph,
 )
 from shellings.oracle import build_subset_table, count_shellings_dp, rooted_counts_from_table
-from shellings.trees import all_root_counts, hook_count, root_tree, tree_count, weights
+from shellings.trees import all_root_counts, hook_count, root_tree, tree_count
 
 # centers 0 (degree 2) and 1 (degree 3); leaf 2 on 0, leaves 3 and 4 on 1
 DOUBLE_STAR = Graph.from_edges(5, [(0, 1), (0, 2), (1, 3), (1, 4)])
@@ -89,12 +89,14 @@ def test_double_star_closed_form():
 
 
 def test_weights_examples():
-    w = weights(path_graph(4), 0)
-    assert w.weights == (1, 3, 3, 1)
-    assert w.total() == 8
-    wv = weights(DOUBLE_STAR, 1)
+    # the weight W(u) for root v is the root-count ratio F(T_u) / F(T_v)
+    roots = all_root_counts(path_graph(4))
+    assert [Fraction(r, roots[0]) for r in roots] == [1, 3, 3, 1]
+    assert Fraction(sum(roots), roots[0]) == 8
     roots = all_root_counts(DOUBLE_STAR)
-    assert wv.weights == tuple(Fraction(r, roots[1]) for r in roots)
+    assert [Fraction(r, roots[1]) for r in roots] == [
+        Fraction(2, 3), 1, Fraction(1, 6), Fraction(1, 4), Fraction(1, 4)
+    ]
 
 
 def test_adjacent_root_ratio_is_integral_identity():
@@ -128,7 +130,13 @@ def test_weights_match_root_count_ratios():
             g = random_tree(n, seed)
             roots = all_root_counts(g)
             for v in range(n):
-                wv = weights(g, v)
-                assert wv.weights == tuple(Fraction(r, roots[v]) for r in roots)
+                # W(u) multiplies the edge ratios size/(n - size) down from v
+                rt = root_tree(g, v)
+                w = [Fraction(0)] * n
+                w[v] = Fraction(1)
+                for u in rt.order[1:]:
+                    size = rt.subtree_size[u]
+                    w[u] = w[rt.parent[u]] * Fraction(size, n - size)
+                assert w == [Fraction(r, roots[v]) for r in roots]
                 # hook seed times weight sum equals the full rooted sum
-                assert roots[v] * wv.total() == sum(roots) == 2 * tree_count(g)
+                assert roots[v] * sum(w) == sum(roots) == 2 * tree_count(g)
