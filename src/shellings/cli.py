@@ -9,6 +9,7 @@ fails, 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -105,8 +106,11 @@ def cmd_count(args: argparse.Namespace) -> int:
               "and no closed form applies", file=sys.stderr)
         return USAGE_ERROR
     if args.brute or not has_formula or (within_guard and not args.no_crosscheck):
+        stats: dict = {}
         value = _timed(report.timing, "dp",
-                       lambda: count_shellings_dp(g, args.max_dp_edges))
+                       lambda: count_shellings_dp(g, args.max_dp_edges, stats=stats))
+        # the strategy goes in the timing key, never in results
+        report.timing[f"dp.{stats['strategy']}"] = report.timing.pop("dp")
         report.add_result("dp", value)
 
     order = ["dp"] if args.brute else ["complete_graph", "complete_bipartite", "tree", "dp"]
@@ -250,7 +254,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="shellings",
         description="Count shellings of graphs exactly (orderings of the "
@@ -265,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--no-crosscheck", action="store_true",
                          help="skip the DP cross-check of formula results")
     p_count.add_argument("--max-dp-edges", type=int, default=DEFAULT_MAX_DP_EDGES,
-                         help="edge guard for the subset DP (default %(default)s)")
+                         help="edge guard for the subset DP (default %(default)s); "
+                              "dense graphs also stop at the DP's table budget")
     p_count.set_defaults(func=cmd_count)
 
     p_roots = sub.add_parser("tree-roots", help="per-root shelling counts of a tree")

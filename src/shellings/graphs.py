@@ -19,6 +19,11 @@ from .errors import EdgeListParseError, GuardExceeded, NotATreeError
 
 Edge = tuple[int, int]
 
+# Largest vertex count an edge list may declare or imply: ids stay below it.
+MAX_VERTICES = 10**6
+# Any id with at most this many digits is below MAX_VERTICES.
+_SAFE_ID_DIGITS = len(str(MAX_VERTICES)) - 1
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -82,12 +87,23 @@ def _is_ascii_number(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
+def _bounded_number(token: str, limit: int, what: str, line_no: int) -> int:
+    """An ASCII-digit token as an int, refused above limit; the length is
+    checked first, so a huge token never reaches int()."""
+    digits = token.lstrip("0") or "0"
+    if len(digits) > len(str(limit)) or int(digits) > limit:
+        shown = token if len(token) <= 20 else token[:20] + "..."
+        raise EdgeListParseError(f"{what} {shown} exceeds {limit}", line_no)
+    return int(digits)
+
+
 def parse_edge_list(text: str | bytes) -> Graph:
     """Parse the edge-list format.
 
     Lines are blank, '#' comments, an optional single header "n <k>"
     (needed to represent isolated vertices), or an edge "u v".  LF and
     CRLF both accepted.  With a header, every vertex id must be < k.
+    Ids must be below MAX_VERTICES and k at most MAX_VERTICES.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -105,11 +121,15 @@ def parse_edge_list(text: str | bytes) -> Graph:
                 raise EdgeListParseError("duplicate header line", line_no)
             if len(parts) != 2 or not _is_ascii_number(parts[1]):
                 raise EdgeListParseError(f"malformed header {line!r}", line_no)
-            declared = int(parts[1])
+            declared = _bounded_number(parts[1], MAX_VERTICES, "declared n", line_no)
             continue
         if len(parts) != 2 or not all(_is_ascii_number(p) for p in parts):
             raise EdgeListParseError(f"malformed line {line!r}", line_no)
-        u, v = int(parts[0]), int(parts[1])
+        a, b = parts
+        u = (int(a) if len(a) <= _SAFE_ID_DIGITS
+             else _bounded_number(a, MAX_VERTICES - 1, "vertex id", line_no))
+        v = (int(b) if len(b) <= _SAFE_ID_DIGITS
+             else _bounded_number(b, MAX_VERTICES - 1, "vertex id", line_no))
         if u == v:
             raise EdgeListParseError(f"self-loop at vertex {u}", line_no)
         if u > v:

@@ -4,12 +4,27 @@ A shelling is an ordering of all edges in which every prefix forms a
 connected subgraph.  One dynamic program, seeded by a set of edges,
 counts for each edge subset S the orderings of S whose prefixes are all
 connected and whose first edge is a seed: S's count is the sum of the
-counts of S minus b over the edges b of S that touch S minus b.
-Subsets are visited in plain integer order, since S minus one bit is
-always smaller than S.  A count is nonzero exactly when S is connected
-and contains a seed edge, so no separate connectivity table is kept.
+counts of S minus b over the edges b of S that touch S minus b.  A count
+is nonzero exactly when S is connected and contains a seed edge.
 Seeding every edge gives the shelling count; seeding the edges at v
 gives the shellings whose first edge touches v.
+
+Two strategies compute the same counts:
+
+* ``connected``: a dict keyed by edge mask that holds only the subsets
+  with nonzero counts, grown one layer (one edge) at a time by adding
+  the edges that touch each subset.  Its cost follows the number of
+  connected subsets, which is tiny for paths, cycles and most trees.
+* ``table``: a list over all 2^m subsets, visited in plain integer
+  order, since S minus one bit is always smaller than S.  On dense
+  graphs, where most subsets are connected, it is about twice as fast.
+
+The DP picks by observing the layered pass: it starts there and falls
+back to the table once the pass has kept more than 1/LAYERED_SHARE of
+the 2^m subsets (or of MAX_DP_ENTRIES, when smaller).  Graphs of at
+most TABLE_ONLY_EDGES edges go straight to the table, where both take
+microseconds.  The table is only built when 2^m <= MAX_DP_ENTRIES;
+past that the DP raises GuardExceeded before allocating.
 
 These counters are the oracle every closed-form result is tested against,
 so they stay deliberately direct.
@@ -24,20 +39,45 @@ from .graphs import Graph, is_connected
 
 DEFAULT_MAX_DP_EDGES = 20
 MAX_ENUM_EDGES = 8
+# Largest table the DP allocates, in entries: a full table at 22 edges.
+MAX_DP_ENTRIES = 1 << 22
+# The layered pass gives up once it keeps more than 1/LAYERED_SHARE of the
+# table: past that the work it throws away on dense graphs outgrows what it
+# saves on sparse ones (measured on the benchmark's dp-sparse and dp-dense).
+LAYERED_SHARE = 16
+# Up to this many edges both strategies take well under a millisecond; an abandoned
+# layered pass would only add to the table's time.
+TABLE_ONLY_EDGES = 8
 
 
 @dataclass
 class SubsetTable:
-    """Per-subset ordering counts for one graph, every edge a seed."""
+    """Per-subset ordering counts for one graph, every edge a seed.
+
+    ``counts`` is a list over all 2^m subsets (strategy ``table``) or a
+    dict holding the empty set and the connected subsets (``connected``).
+    """
 
     edge_count: int
-    counts: list[int]
+    counts: list[int] | dict[int, int]
     adj_masks: tuple[int, ...]
+    strategy: str
 
     @property
     def connected(self) -> bytes:
-        """1 for each nonempty connected subset, 0 otherwise."""
-        return b"\0" + bytes(map(bool, self.counts[1:]))
+        """2^m bytes: 1 for each nonempty connected subset, 0 otherwise."""
+        if self.strategy == "table":
+            return b"\0" + bytes(map(bool, self.counts[1:]))
+        flags = bytearray(1 << self.edge_count)
+        for s in self.counts:
+            flags[s] = 1
+        flags[0] = 0
+        return bytes(flags)
+
+    @property
+    def total(self) -> int:
+        """Orderings of the whole edge set."""
+        return _full_count(self.counts, self.edge_count)
 
 
 def _edge_adjacency_masks(g: Graph) -> tuple[int, ...]:
@@ -89,25 +129,82 @@ def _shelling_counts(adj_masks: tuple[int, ...], seed_mask: int) -> list[int]:
     return counts
 
 
+def _connected_counts(adj_masks: tuple[int, ...], seed_mask: int,
+                      cap: int) -> dict[int, int] | None:
+    """The nonzero counts of _shelling_counts, and counts[0], as a dict;
+    None as soon as it would hold more than ``cap`` entries."""
+    touches = {1 << e: adj for e, adj in enumerate(adj_masks)}
+    counts = {0: 1}
+    layer = {}  # newest layer: subset -> the edges in it or touching it
+    for b, adj in touches.items():
+        if seed_mask & b:
+            counts[b] = 1
+            layer[b] = adj | b
+    for _ in range(len(adj_masks) - 1):
+        grown = {}
+        for s, reach in layer.items():
+            c = counts[s]
+            rest = reach ^ s
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                t = s | b
+                if t in grown:
+                    counts[t] += c
+                else:
+                    if len(counts) >= cap:
+                        return None
+                    counts[t] = c
+                    grown[t] = reach | touches[b]
+        layer = grown
+    return counts
+
+
+def _subset_counts(adj_masks: tuple[int, ...],
+                   seed_mask: int) -> tuple[list[int] | dict[int, int], str]:
+    """Counts and the strategy that produced them (see the module docstring)."""
+    m = len(adj_masks)
+    if m > TABLE_ONLY_EDGES:
+        cap = min(1 << m, MAX_DP_ENTRIES) // LAYERED_SHARE
+        counts = _connected_counts(adj_masks, seed_mask, cap)
+        if counts is not None:
+            return counts, "connected"
+    if 1 << m > MAX_DP_ENTRIES:
+        raise GuardExceeded(
+            f"{m} edges: more than {MAX_DP_ENTRIES // LAYERED_SHARE} connected "
+            f"subsets and a 2^{m}-entry table exceeds the DP budget of {MAX_DP_ENTRIES}")
+    return _shelling_counts(adj_masks, seed_mask), "table"
+
+
+def _full_count(counts: list[int] | dict[int, int], m: int) -> int:
+    return counts.get((1 << m) - 1, 0) if isinstance(counts, dict) else counts[-1]
+
+
 def build_subset_table(g: Graph, max_edges: int = DEFAULT_MAX_DP_EDGES) -> SubsetTable:
     adj_masks = _guarded_adjacency_masks(g, max_edges)
-    m = g.num_edges
-    return SubsetTable(m, _shelling_counts(adj_masks, (1 << m) - 1), adj_masks)
+    counts, strategy = _subset_counts(adj_masks, (1 << g.num_edges) - 1)
+    return SubsetTable(g.num_edges, counts, adj_masks, strategy)
 
 
 def rooted_counts_from_table(table: SubsetTable, g: Graph, v: int) -> int:
     """Orderings whose first edge is incident to v, reusing the edge adjacency."""
-    return _shelling_counts(table.adj_masks, _edges_at(g, v))[-1]
+    counts, _ = _subset_counts(table.adj_masks, _edges_at(g, v))
+    return _full_count(counts, table.edge_count)
 
 
-def count_shellings_dp(g: Graph, max_edges: int = DEFAULT_MAX_DP_EDGES) -> int:
-    """Exact shelling count F(g); 0 if g is disconnected."""
+def count_shellings_dp(g: Graph, max_edges: int = DEFAULT_MAX_DP_EDGES,
+                       stats: dict | None = None) -> int:
+    """Exact shelling count F(g); 0 if g is disconnected.
+
+    When ``stats`` is given and the DP runs, ``stats["strategy"]`` is set
+    to the strategy that produced the count.
+    """
     if not is_connected(g):
         return 0
-    if g.num_edges == 0:
-        return 1
     table = build_subset_table(g, max_edges)
-    return table.counts[(1 << g.num_edges) - 1]
+    if stats is not None:
+        stats["strategy"] = table.strategy
+    return table.total
 
 
 def count_rooted_shellings_dp(g: Graph, v: int, max_edges: int = DEFAULT_MAX_DP_EDGES) -> int:
@@ -116,9 +213,8 @@ def count_rooted_shellings_dp(g: Graph, v: int, max_edges: int = DEFAULT_MAX_DP_
         raise ValueError(f"vertex {v} out of range")
     if not is_connected(g):
         return 0
-    if g.num_edges == 0:
-        return 1
-    return _shelling_counts(_guarded_adjacency_masks(g, max_edges), _edges_at(g, v))[-1]
+    counts, _ = _subset_counts(_guarded_adjacency_masks(g, max_edges), _edges_at(g, v))
+    return _full_count(counts, g.num_edges)
 
 
 def enumerate_shellings(g: Graph, limit: int | None = None) -> list[tuple[int, ...]]:

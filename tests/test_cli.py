@@ -88,6 +88,55 @@ def test_count_non_ascii_digits_exit_code(tmp_path, capsys, text):
     assert err.startswith("parse error: line ")
 
 
+def test_count_names_dp_strategy_in_timing(tmp_path, capsys):
+    path14 = write_graph(tmp_path, "p15.txt", "".join(f"{i} {i + 1}\n" for i in range(14)))
+    code, doc = run_json(capsys, "count", path14)
+    assert code == 0
+    assert "dp.connected" in doc["timing"] and "dp.table" not in doc["timing"]
+    assert doc["results"] == {"tree": str(2**13), "dp": str(2**13)}
+    k34 = write_graph(tmp_path, "k34.txt", "".join(f"{i} {j}\n" for i in range(3) for j in range(3, 7)))
+    code, doc = run_json(capsys, "count", k34)
+    assert code == 0
+    assert "dp.table" in doc["timing"] and "dp.connected" not in doc["timing"]
+    assert set(doc["results"]) == {"complete_bipartite", "dp"}
+    single = write_graph(tmp_path, "k1.txt", "n 1\n")
+    code, doc = run_json(capsys, "count", single)
+    assert code == 0
+    assert "dp.table" in doc["timing"] and doc["results"]["dp"] == "1"
+
+
+def test_count_sparse_graph_past_twenty_edges(tmp_path, capsys):
+    path = write_graph(tmp_path, "c40.txt", "".join(f"{i} {(i + 1) % 40}\n" for i in range(40)))
+    code, doc = run_json(capsys, "count", path, "--max-dp-edges", "40")
+    assert code == 0
+    assert doc["results"] == {"dp": str(40 * 2**38)}
+
+
+def test_count_dense_graph_past_budget_exit_code(tmp_path, capsys, monkeypatch):
+    from shellings import oracle
+
+    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 1 << 10)
+    k35 = "".join(f"{i} {j}\n" for i in range(3) for j in range(3, 8))
+    path = write_graph(tmp_path, "k35.txt", k35 + "0 1\n")
+    code, out, err = run(capsys, "count", path)
+    assert code == 2
+    assert out == ""
+    assert "budget" in err
+
+
+@pytest.mark.parametrize("text,fragment", [
+    ("0 " + "1" * 5000 + "\n", "vertex id 11111"),
+    ("0 1\n1 2000000000\n", "vertex id 2000000000 exceeds"),
+    ("n 2000000000\n0 1\n", "declared n 2000000000 exceeds"),
+])
+def test_count_huge_vertex_ids_exit_code(tmp_path, capsys, text, fragment):
+    path = write_graph(tmp_path, "big.txt", text)
+    code, out, err = run(capsys, "count", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: line ") and fragment in err
+
+
 def test_inexact_division_is_a_failed_check(capsys, monkeypatch):
     import math
 

@@ -51,11 +51,23 @@ def test_parse_header_allows_isolated_vertices():
         ("1 2 3\n", "malformed"),
         ("n 2\n0 5\n", "declared"),
         ("n 2\nn 3\n", "duplicate header"),
+        ("0 " + "1" * 5000 + "\n", "vertex id 1{20}\\.\\.\\. exceeds 999999"),
+        ("0 1\n1 2000000000\n", "vertex id 2000000000 exceeds 999999"),
+        ("1000000 1\n", "vertex id 1000000 exceeds"),
+        ("2" * 5000 + " 0\n", "vertex id 2{20}\\.\\.\\. exceeds 999999"),
+        ("n 2000000000\n0 1\n", "declared n 2000000000 exceeds 1000000"),
+        ("n " + "9" * 5000 + "\n", "declared n 9{20}"),
     ],
 )
 def test_parse_errors(text, fragment):
     with pytest.raises(EdgeListParseError, match=fragment):
         parse_edge_list(text)
+
+
+def test_parse_accepts_ids_up_to_the_bound():
+    g = parse_edge_list("n 1000000\n0 999999\n")
+    assert g.num_vertices == 1000000 and g.edges == ((0, 999999),)
+    assert parse_edge_list("0000000000001 0\n").edges == ((0, 1),)
 
 
 def test_parse_error_carries_line_number():

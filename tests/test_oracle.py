@@ -1,13 +1,16 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from shellings import oracle
 from shellings.errors import GuardExceeded
 from shellings.graphs import (
     Graph,
+    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     path_graph,
+    random_tree,
     star_graph,
 )
 from shellings.oracle import (
@@ -145,3 +148,57 @@ def test_dp_matches_enumeration_on_random_connected_graphs(g):
     if g.is_tree():
         assert all_root_counts(g) == rooted
         assert tree_count(g) == len(orders)
+
+
+def test_dp_budget_counts_sparse_graphs_past_twenty_edges():
+    assert count_shellings_dp(cycle_graph(40), max_edges=40) == 40 * 2**38
+    assert count_shellings_dp(path_graph(41), max_edges=40) == 2**39
+
+
+def test_dp_budget_refuses_dense_graphs(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 1 << 12)
+    # 106 connected subsets fit the layered pass's 256 entries
+    assert count_shellings_dp(path_graph(15)) == 2**13
+    with pytest.raises(GuardExceeded, match="budget"):
+        count_shellings_dp(complete_bipartite_graph(3, 5))
+    with pytest.raises(GuardExceeded, match="budget"):
+        count_rooted_shellings_dp(complete_bipartite_graph(3, 5), 0)
+
+
+def test_strategy_follows_the_connected_share():
+    assert build_subset_table(path_graph(14)).strategy == "connected"
+    assert build_subset_table(cycle_graph(20)).strategy == "connected"
+    assert build_subset_table(complete_bipartite_graph(3, 4)).strategy == "table"
+    # at most eight edges: straight to the table
+    assert build_subset_table(path_graph(9)).strategy == "table"
+
+
+def test_connected_bytes_agree_between_strategies():
+    g = Graph.from_edges(14, [(i, i + 1) for i in range(13)] + [(0, 13), (3, 9)])
+    table = build_subset_table(g)
+    assert table.strategy == "connected"
+    full = oracle._shelling_counts(table.adj_masks, (1 << g.num_edges) - 1)
+    assert table.connected == b"\0" + bytes(map(bool, full[1:]))
+    assert table.total == full[-1]
+
+
+@given(connected_graphs(max_edges=12))
+@example(complete_graph(5))
+@example(complete_bipartite_graph(3, 4))
+@settings(derandomize=True, deadline=None, max_examples=60)
+def test_both_strategies_agree_on_every_connected_subset(g):
+    adj = oracle._edge_adjacency_masks(g)
+    seeds = [(1 << g.num_edges) - 1] + [oracle._edges_at(g, v) for v in range(g.num_vertices)]
+    for seed in seeds:
+        table = oracle._shelling_counts(adj, seed)
+        layered = oracle._connected_counts(adj, seed, cap=1 << g.num_edges)
+        assert layered == {s: c for s, c in enumerate(table) if c}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_hook_formula_matches_dp_on_25_edge_trees(seed):
+    g = random_tree(26, seed)
+    assert count_shellings_dp(g, max_edges=25) == tree_count(g)
+    roots = all_root_counts(g)
+    for v in (0, 13, 25):
+        assert count_rooted_shellings_dp(g, v, max_edges=25) == roots[v]
