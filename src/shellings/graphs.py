@@ -21,8 +21,6 @@ Edge = tuple[int, int]
 
 # Largest vertex count an edge list may declare or imply: ids stay below it.
 MAX_VERTICES = 10**6
-# Any id with at most this many digits is below MAX_VERTICES.
-_SAFE_ID_DIGITS = len(str(MAX_VERTICES)) - 1
 
 
 @dataclass(frozen=True)
@@ -90,6 +88,8 @@ def _is_ascii_number(token: str) -> bool:
 def _bounded_number(token: str, limit: int, what: str, line_no: int) -> int:
     """An ASCII-digit token as an int, refused above limit; the length is
     checked first, so a huge token never reaches int()."""
+    if len(token) < len(str(limit)):  # fewer digits than limit: below it
+        return int(token)
     digits = token.lstrip("0") or "0"
     if len(digits) > len(str(limit)) or int(digits) > limit:
         shown = token if len(token) <= 20 else token[:20] + "..."
@@ -125,11 +125,8 @@ def parse_edge_list(text: str | bytes) -> Graph:
             continue
         if len(parts) != 2 or not all(_is_ascii_number(p) for p in parts):
             raise EdgeListParseError(f"malformed line {line!r}", line_no)
-        a, b = parts
-        u = (int(a) if len(a) <= _SAFE_ID_DIGITS
-             else _bounded_number(a, MAX_VERTICES - 1, "vertex id", line_no))
-        v = (int(b) if len(b) <= _SAFE_ID_DIGITS
-             else _bounded_number(b, MAX_VERTICES - 1, "vertex id", line_no))
+        u = _bounded_number(parts[0], MAX_VERTICES - 1, "vertex id", line_no)
+        v = _bounded_number(parts[1], MAX_VERTICES - 1, "vertex id", line_no)
         if u == v:
             raise EdgeListParseError(f"self-loop at vertex {u}", line_no)
         if u > v:

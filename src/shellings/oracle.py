@@ -21,10 +21,9 @@ Two strategies compute the same counts:
 
 The DP picks by observing the layered pass: it starts there and falls
 back to the table once the pass has kept more than 1/LAYERED_SHARE of
-the 2^m subsets (or of MAX_DP_ENTRIES, when smaller).  Graphs of at
-most TABLE_ONLY_EDGES edges go straight to the table, where both take
-microseconds.  The table is only built when 2^m <= MAX_DP_ENTRIES;
-past that the DP raises GuardExceeded before allocating.
+the 2^m subsets (or of MAX_DP_ENTRIES, when smaller).  The table is
+only built when 2^m <= MAX_DP_ENTRIES; past that the DP raises
+GuardExceeded before allocating.
 
 These counters are the oracle every closed-form result is tested against,
 so they stay deliberately direct.
@@ -45,9 +44,6 @@ MAX_DP_ENTRIES = 1 << 22
 # table: past that the work it throws away on dense graphs outgrows what it
 # saves on sparse ones (measured on the benchmark's dp-sparse and dp-dense).
 LAYERED_SHARE = 16
-# Up to this many edges both strategies take well under a millisecond; an abandoned
-# layered pass would only add to the table's time.
-TABLE_ONLY_EDGES = 8
 
 
 @dataclass
@@ -65,7 +61,13 @@ class SubsetTable:
 
     @property
     def connected(self) -> bytes:
-        """2^m bytes: 1 for each nonempty connected subset, 0 otherwise."""
+        """2^m bytes: 1 for each nonempty connected subset, 0 otherwise.
+
+        Raises GuardExceeded when 2^m > MAX_DP_ENTRIES."""
+        if 1 << self.edge_count > MAX_DP_ENTRIES:
+            raise GuardExceeded(
+                f"{self.edge_count} edges: 2^{self.edge_count} connectivity flags "
+                f"exceed the DP budget of {MAX_DP_ENTRIES}")
         if self.strategy == "table":
             return b"\0" + bytes(map(bool, self.counts[1:]))
         flags = bytearray(1 << self.edge_count)
@@ -164,11 +166,10 @@ def _subset_counts(adj_masks: tuple[int, ...],
                    seed_mask: int) -> tuple[list[int] | dict[int, int], str]:
     """Counts and the strategy that produced them (see the module docstring)."""
     m = len(adj_masks)
-    if m > TABLE_ONLY_EDGES:
-        cap = min(1 << m, MAX_DP_ENTRIES) // LAYERED_SHARE
-        counts = _connected_counts(adj_masks, seed_mask, cap)
-        if counts is not None:
-            return counts, "connected"
+    cap = min(1 << m, MAX_DP_ENTRIES) // LAYERED_SHARE
+    counts = _connected_counts(adj_masks, seed_mask, cap)
+    if counts is not None:
+        return counts, "connected"
     if 1 << m > MAX_DP_ENTRIES:
         raise GuardExceeded(
             f"{m} edges: more than {MAX_DP_ENTRIES // LAYERED_SHARE} connected "

@@ -102,7 +102,7 @@ def test_count_names_dp_strategy_in_timing(tmp_path, capsys):
     single = write_graph(tmp_path, "k1.txt", "n 1\n")
     code, doc = run_json(capsys, "count", single)
     assert code == 0
-    assert "dp.table" in doc["timing"] and doc["results"]["dp"] == "1"
+    assert "dp.connected" in doc["timing"] and doc["results"]["dp"] == "1"
 
 
 def test_count_sparse_graph_past_twenty_edges(tmp_path, capsys):
@@ -119,6 +119,23 @@ def test_count_dense_graph_past_budget_exit_code(tmp_path, capsys, monkeypatch):
     k35 = "".join(f"{i} {j}\n" for i in range(3) for j in range(3, 8))
     path = write_graph(tmp_path, "k35.txt", k35 + "0 1\n")
     code, out, err = run(capsys, "count", path)
+    assert code == 2
+    assert out == ""
+    assert "budget" in err
+
+
+def test_count_formula_graph_past_budget_skips_crosscheck(tmp_path, capsys, monkeypatch):
+    from shellings import oracle
+
+    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 1 << 10)
+    path = write_graph(tmp_path, "k35.txt", "".join(f"{i} {j}\n" for i in range(3) for j in range(3, 8)))
+    code, out, err = run(capsys, "count", path)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["results"] == {"complete_bipartite": "186810624000"}
+    assert doc["crossChecks"] == []
+    assert "skipped" in err and "budget" in err
+    code, out, err = run(capsys, "count", path, "--brute")
     assert code == 2
     assert out == ""
     assert "budget" in err

@@ -56,6 +56,8 @@ def test_parse_header_allows_isolated_vertices():
         ("1000000 1\n", "vertex id 1000000 exceeds"),
         ("2" * 5000 + " 0\n", "vertex id 2{20}\\.\\.\\. exceeds 999999"),
         ("n 2000000000\n0 1\n", "declared n 2000000000 exceeds 1000000"),
+        ("n 1000001\n0 1\n", "declared n 1000001 exceeds 1000000"),
+        ("0 1000000\n", "vertex id 1000000 exceeds"),
         ("n " + "9" * 5000 + "\n", "declared n 9{20}"),
     ],
 )

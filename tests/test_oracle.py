@@ -165,11 +165,20 @@ def test_dp_budget_refuses_dense_graphs(monkeypatch):
         count_rooted_shellings_dp(complete_bipartite_graph(3, 5), 0)
 
 
+def test_connected_bytes_refused_past_budget(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 1 << 12)
+    table = build_subset_table(path_graph(15))
+    assert table.strategy == "connected" and table.total == 2**13
+    with pytest.raises(GuardExceeded, match="budget"):
+        table.connected
+    assert len(build_subset_table(path_graph(13)).connected) == 1 << 12
+
+
 def test_strategy_follows_the_connected_share():
     assert build_subset_table(path_graph(14)).strategy == "connected"
     assert build_subset_table(cycle_graph(20)).strategy == "connected"
     assert build_subset_table(complete_bipartite_graph(3, 4)).strategy == "table"
-    # at most eight edges: straight to the table
+    # 36 connected subsets pass the 256 / 16 entries of an 8-edge path
     assert build_subset_table(path_graph(9)).strategy == "table"
 
 
