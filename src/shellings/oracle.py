@@ -19,11 +19,13 @@ Two strategies compute the same counts:
   order, since S minus one bit is always smaller than S.  On dense
   graphs, where most subsets are connected, it is about twice as fast.
 
-The DP picks by observing the layered pass: it starts there and falls
-back to the table once the pass has kept more than 1/LAYERED_SHARE of
-the 2^m subsets (or of MAX_DP_ENTRIES, when smaller).  The table is
-only built when 2^m <= MAX_DP_ENTRIES; past that the DP raises
-GuardExceeded before allocating.
+Graphs of at most TABLE_ONLY_EDGES edges go straight to the table: it
+takes milliseconds there, and its cost follows m alone, not the graph's
+shape.  On larger graphs the DP picks by observing the layered pass: it
+starts there and falls back to the table once the pass has kept more
+than 1/LAYERED_SHARE of the 2^m subsets (or of MAX_DP_ENTRIES, when
+smaller).  The table is only built when 2^m <= MAX_DP_ENTRIES; past
+that the DP raises GuardExceeded before allocating.
 
 These counters are the oracle every closed-form result is tested against,
 so they stay deliberately direct.
@@ -44,6 +46,11 @@ MAX_DP_ENTRIES = 1 << 22
 # table: past that the work it throws away on dense graphs outgrows what it
 # saves on sparse ones (measured on the benchmark's dp-sparse and dp-dense).
 LAYERED_SHARE = 16
+# Graphs of at most this many edges skip the layered pass: a 2^15-entry
+# table takes at most about 30 ms, whatever the graph, while the layered
+# pass's time follows the count of connected subsets, and a graph that
+# passes the share cap pays for an abandoned pass on top of the table.
+TABLE_ONLY_EDGES = 15
 
 
 @dataclass
@@ -166,10 +173,11 @@ def _subset_counts(adj_masks: tuple[int, ...],
                    seed_mask: int) -> tuple[list[int] | dict[int, int], str]:
     """Counts and the strategy that produced them (see the module docstring)."""
     m = len(adj_masks)
-    cap = min(1 << m, MAX_DP_ENTRIES) // LAYERED_SHARE
-    counts = _connected_counts(adj_masks, seed_mask, cap)
-    if counts is not None:
-        return counts, "connected"
+    if m > TABLE_ONLY_EDGES or 1 << m > MAX_DP_ENTRIES:
+        cap = min(1 << m, MAX_DP_ENTRIES) // LAYERED_SHARE
+        counts = _connected_counts(adj_masks, seed_mask, cap)
+        if counts is not None:
+            return counts, "connected"
     if 1 << m > MAX_DP_ENTRIES:
         raise GuardExceeded(
             f"{m} edges: more than {MAX_DP_ENTRIES // LAYERED_SHARE} connected "

@@ -175,15 +175,18 @@ def test_connected_bytes_refused_past_budget(monkeypatch):
 
 
 def test_strategy_follows_the_connected_share():
-    assert build_subset_table(path_graph(14)).strategy == "connected"
+    assert build_subset_table(path_graph(17)).strategy == "connected"
     assert build_subset_table(cycle_graph(20)).strategy == "connected"
+    # 16 edges, 93% of subsets connected: the pass stops at 2^16 / 16 entries
+    assert build_subset_table(complete_bipartite_graph(4, 4)).strategy == "table"
+    # at most TABLE_ONLY_EDGES edges, however sparse: straight to the table
+    assert oracle.TABLE_ONLY_EDGES == 15
+    assert build_subset_table(path_graph(16)).strategy == "table"
     assert build_subset_table(complete_bipartite_graph(3, 4)).strategy == "table"
-    # 36 connected subsets pass the 256 / 16 entries of an 8-edge path
-    assert build_subset_table(path_graph(9)).strategy == "table"
 
 
 def test_connected_bytes_agree_between_strategies():
-    g = Graph.from_edges(14, [(i, i + 1) for i in range(13)] + [(0, 13), (3, 9)])
+    g = Graph.from_edges(16, [(i, i + 1) for i in range(15)] + [(0, 15), (3, 9)])
     table = build_subset_table(g)
     assert table.strategy == "connected"
     full = oracle._shelling_counts(table.adj_masks, (1 << g.num_edges) - 1)
