@@ -30,6 +30,7 @@ from .bounds import (
     pull_branch_toward_middle,
     push_branch_from_root,
     weight_bound_coefficient,
+    weight_bound_coefficients,
 )
 from .closed_forms import (
     b_sequence,
@@ -77,6 +78,7 @@ from .report import Report
 from .trees import (
     RootedTree,
     all_root_counts,
+    eccentricities,
     hook_count,
     root_tree,
     tree_count,

@@ -14,23 +14,25 @@ from fractions import Fraction
 
 from .bigmath import Nat, Rat, binomial, factorial
 from .errors import NotATreeError
-from .graphs import Graph, bfs_distances, classify
-from .trees import RootedTree, root_tree, tree_count
+from .graphs import Graph
+from .trees import RootedTree, eccentricities, root_tree, tree_count
 
 
 def degree_lower_bound(g: Graph) -> tuple[Nat, bool]:
     """prod over vertices of d(v)!, with an equality prediction.
 
     The bound is tight exactly on paths and stars, so the prediction is a
-    classification check, not a numeric comparison.
+    shape check, not a numeric comparison: a tree is a path when no degree
+    exceeds 2 and a star when one vertex is adjacent to all others.
     """
-    if not g.is_tree() or g.num_vertices < 2:
+    n = g.num_vertices
+    if not g.is_tree() or n < 2:
         raise NotATreeError("degree_lower_bound requires a tree on >= 2 vertices")
     bound = 1
-    for v in range(g.num_vertices):
+    for v in range(n):
         bound *= factorial(g.degree(v))
-    tags = classify(g).tags
-    return bound, ("Path" in tags or "Star" in tags)
+    max_degree = max(g.degree(v) for v in range(n))
+    return bound, (max_degree <= 2 or max_degree == n - 1)
 
 
 def diameter_upper_bound_printed(n: int, length: int) -> Rat:
@@ -80,68 +82,58 @@ def double_broom(d1: int, d2: int, middle: int) -> Graph:
     return Graph.from_edges(nxt, edges)
 
 
-def _heights(g: Graph, root: int) -> tuple[list[int], RootedTree]:
-    rt = root_tree(g, root)
-    height = [0] * g.num_vertices
-    for u in reversed(rt.order[1:]):
-        p = rt.parent[u]
-        height[p] = max(height[p], height[u] + 1)
-    return height, rt
+def _descending_path(g: Graph, rt: RootedTree) -> list[int]:
+    """Lexicographically smallest deepest root-to-leaf path of ``rt``."""
+    u = rt.root
+    path = [u]
+    for remaining in range(rt.height[u] - 1, -1, -1):
+        u = min(w for w in g.adjacency[u] if rt.parent[w] == u and rt.height[w] == remaining)
+        path.append(u)
+    return path
 
 
 def longest_descending_path(g: Graph, v: int) -> list[int]:
     """Lexicographically smallest deepest root-to-leaf path from v."""
-    height, rt = _heights(g, v)
-    path = [v]
-    remaining = height[v]
-    u = v
-    while remaining > 0:
-        u = min(
-            w for w in g.adjacency[u] if rt.parent[w] == u and height[w] == remaining - 1
-        )
-        path.append(u)
-        remaining -= 1
-    return path
+    return _descending_path(g, root_tree(g, v))
+
+
+def weight_bound_coefficients(n: int, heights) -> list[Nat]:
+    """sum_{k=0}^{l-1} C(n-2, k) for each height l in ``heights``."""
+    prefix = [0]
+    for k in range(max(heights, default=0)):
+        prefix.append(prefix[-1] + binomial(n - 2, k))
+    return [prefix[h] for h in heights]
 
 
 def weight_bound_coefficient(g: Graph, v: int) -> Nat:
     """sum_{k=0}^{l-1} C(n-2, k), l the depth of the tree rooted at v."""
     if not g.is_tree():
         raise NotATreeError("weight_bound_coefficient requires a tree")
-    height, _ = _heights(g, v)
     n = g.num_vertices
-    return sum(binomial(n - 2, k) for k in range(height[v]))
+    if not 0 <= v < n:
+        raise ValueError(f"vertex {v} out of range")
+    height = eccentricities(root_tree(g, 0))[v]
+    return weight_bound_coefficients(n, [height])[0]
+
+
+def _diameter_rooting(g: Graph) -> RootedTree:
+    """g rooted at its smallest vertex of maximum eccentricity.
+
+    Every diameter path starts at a vertex of maximum eccentricity, so the
+    lexicographically smallest one starts at the smallest such vertex and
+    is that rooting's smallest deepest descending path.
+    """
+    rt = root_tree(g, 0)
+    ecc = eccentricities(rt)
+    u = ecc.index(max(ecc))
+    return rt if u == 0 else root_tree(g, u)
 
 
 def longest_path(g: Graph) -> list[int]:
     """Lexicographically smallest diameter-realizing vertex sequence."""
     if not g.is_tree():
         raise NotATreeError("longest_path requires a tree")
-    n = g.num_vertices
-    if n == 1:
-        return [0]
-    dists = []
-    parents = []
-    for v in range(n):
-        d, p = bfs_distances(g, v)
-        dists.append(d)
-        parents.append(p)
-    diameter = max(max(row) for row in dists)
-    best: tuple[int, ...] | None = None
-    for u in range(n):
-        row = dists[u]
-        for w in range(n):
-            if row[w] != diameter:
-                continue
-            seq = [w]
-            while seq[-1] != u:
-                seq.append(parents[u][seq[-1]])
-            seq.reverse()
-            cand = tuple(seq)
-            if best is None or cand < best:
-                best = cand
-    assert best is not None
-    return list(best)
+    return _descending_path(g, _diameter_rooting(g))
 
 
 def push_branch_from_root(g: Graph, v: int) -> Graph | None:
@@ -155,9 +147,9 @@ def push_branch_from_root(g: Graph, v: int) -> Graph | None:
     """
     if not g.is_tree():
         raise NotATreeError("push_branch_from_root requires a tree")
-    path = longest_descending_path(g, v)
-    ell = len(path) - 1
     rt = root_tree(g, v)
+    path = _descending_path(g, rt)
+    ell = len(path) - 1
     on_path = set(path)
     for i in range(ell - 1):
         p_i, p_next = path[i], path[i + 1]
@@ -177,11 +169,13 @@ def push_branch_from_root(g: Graph, v: int) -> Graph | None:
     return None
 
 
-def _nearest_path_vertex(g: Graph, path: list[int]) -> dict[int, int]:
-    """For each off-path vertex, the unique path vertex its branch hangs on."""
+def _nearest_path_vertex(rt: RootedTree, path: list[int]) -> dict[int, int]:
+    """For each off-path vertex, the unique path vertex its branch hangs on.
+
+    ``rt`` is rooted at ``path[0]``.
+    """
     attach: dict[int, int] = {}
     on_path = set(path)
-    rt = root_tree(g, path[0])
     for u in rt.order:
         if u in on_path:
             continue
@@ -203,12 +197,13 @@ def pull_branch_toward_middle(g: Graph) -> Graph | None:
     if not g.is_tree():
         raise NotATreeError("pull_branch_toward_middle requires a tree")
     n = g.num_vertices
-    path = longest_path(g)
+    rt = _diameter_rooting(g)
+    path = _descending_path(g, rt)
     ell = len(path) - 1
     if ell <= 1 or ell == n - 1:
         return None
 
-    attach = _nearest_path_vertex(g, path)
+    attach = _nearest_path_vertex(rt, path)
     normalized = [(i, j) for i, j in zip(path, path[1:])]
     normalized.extend((u, a) for u, a in attach.items())
     candidate = Graph.from_edges(n, normalized)
@@ -277,11 +272,12 @@ def bound_report(g: Graph) -> BoundReport:
     n = g.num_vertices
     exact = tree_count(g)
     lower, predicted = degree_lower_bound(g)
-    diameter = len(longest_path(g)) - 1
+    heights = eccentricities(root_tree(g, 0))
+    diameter = max(heights)
     printed = diameter_upper_bound_printed(n, diameter)
     if diameter >= 2:
         spider_exact = tree_count(mid_spider(n, diameter))
     else:
         spider_exact = 1
-    coeffs = tuple(weight_bound_coefficient(g, v) for v in range(n))
+    coeffs = tuple(weight_bound_coefficients(n, heights))
     return BoundReport(exact, lower, predicted, diameter, printed, spider_exact, coeffs)

@@ -61,12 +61,16 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def is_tree(self) -> bool:
+    @cached_property
+    def _is_tree(self) -> bool:
         return (
             self.num_vertices >= 1
             and self.num_edges == self.num_vertices - 1
             and is_connected(self)
         )
+
+    def is_tree(self) -> bool:
+        return self._is_tree
 
     def to_edge_list_text(self) -> str:
         """Render in the edge-list file format accepted by parse_edge_list.

@@ -22,7 +22,7 @@ from .bounds import (
     mid_spider,
     pull_branch_toward_middle,
     push_branch_from_root,
-    weight_bound_coefficient,
+    weight_bound_coefficients,
 )
 from .graphs import (
     Graph,
@@ -35,7 +35,6 @@ from .graphs import (
     prufer_decode,
     prufer_encode,
     star_graph,
-    tree_diameter,
 )
 from .oracle import (
     build_subset_table,
@@ -43,7 +42,7 @@ from .oracle import (
     enumerate_shellings,
     rooted_counts_from_table,
 )
-from .trees import all_root_counts, hook_count, root_tree, tree_count
+from .trees import all_root_counts, eccentricities, hook_count, root_tree, tree_count
 
 DEFAULT_TREE_SWEEP_N = 7
 DEFAULT_BOUND_SWEEP_N = 8
@@ -190,13 +189,13 @@ def sweep_trees(max_n: int = DEFAULT_TREE_SWEEP_N) -> list[CheckOutcome]:
 # bounds and transforms
 
 
-def _weight_sum_not_decreased(g: Graph, h: Graph, v: int) -> bool:
+def _weight_sum_not_decreased(gr: list[int], h: Graph, v: int) -> bool:
     """sum W(u) comparison via integer cross-multiplication.
 
+    ``gr`` holds the root counts of the tree g that h came from.
     sum_u F(T_u)/F(T_v) = 2 F(T)/F(T_v), so the weight sums compare as
     F(h) * F(g_v) >= F(g) * F(h_v).
     """
-    gr = all_root_counts(g)
     hr = all_root_counts(h)
     return sum(hr) * gr[v] >= sum(gr) * hr[v]
 
@@ -223,11 +222,11 @@ def sweep_bounds(max_n: int = DEFAULT_BOUND_SWEEP_N) -> list[CheckOutcome]:
             lower_eq.record((bound == count) == predicted, str(g.edges))
 
             roots = all_root_counts(g)
-            for v in range(n):
-                ok = count <= weight_bound_coefficient(g, v) * roots[v]
-                weight.record(ok, f"{g.edges} root {v}")
+            heights = eccentricities(root_tree(g, 0))
+            for v, coeff in enumerate(weight_bound_coefficients(n, heights)):
+                weight.record(count <= coeff * roots[v], f"{g.edges} root {v}")
 
-            ell = tree_diameter(g)[0]
+            ell = max(heights)
             key = (n, ell)
             if key not in spider_cache:
                 spider_cache[key] = tree_count(mid_spider(n, ell)) if ell >= 2 else 1
@@ -240,12 +239,11 @@ def sweep_bounds(max_n: int = DEFAULT_BOUND_SWEEP_N) -> list[CheckOutcome]:
                 if pushed is None:
                     continue
                 push_mono.record(
-                    _weight_sum_not_decreased(g, pushed, v), f"{g.edges} root {v}"
+                    _weight_sum_not_decreased(roots, pushed, v), f"{g.edges} root {v}"
                 )
-                depth_before = len(longest_descending_path(g, v))
-                depth_after = len(longest_descending_path(pushed, v))
+                depth_after = root_tree(pushed, v).height[v]
                 push_shape.record(
-                    pushed.num_vertices == n and depth_before == depth_after,
+                    pushed.num_vertices == n and heights[v] == depth_after,
                     f"{g.edges} root {v}",
                 )
 
@@ -262,7 +260,8 @@ def sweep_bounds(max_n: int = DEFAULT_BOUND_SWEEP_N) -> list[CheckOutcome]:
                     cur = nxt
                     steps += 1
                 fixpoints.record(
-                    is_mid_spider_shape(cur) and tree_diameter(cur)[0] == ell,
+                    is_mid_spider_shape(cur)
+                    and max(eccentricities(root_tree(cur, 0))) == ell,
                     f"pull from {g.edges}",
                 )
             if n <= 5:

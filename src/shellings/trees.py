@@ -18,16 +18,18 @@ from .graphs import Graph
 
 @dataclass(frozen=True)
 class RootedTree:
-    """Parent and subtree-size arrays for a tree rooted at ``root``.
+    """Parent, subtree-size and height arrays for a tree rooted at ``root``.
 
-    ``order`` is the BFS traversal from the root with neighbor lists
-    sorted ascending, so the arrays are reproducible.
+    ``height[u]`` is the number of edges on the longest downward path
+    from u.  ``order`` is the BFS traversal from the root with neighbor
+    lists sorted ascending, so the arrays are reproducible.
     """
 
     root: int
     parent: tuple[int, ...]
     subtree_size: tuple[int, ...]
     order: tuple[int, ...]
+    height: tuple[int, ...]
 
 
 def root_tree(g: Graph, v: int) -> RootedTree:
@@ -45,9 +47,39 @@ def root_tree(g: Graph, v: int) -> RootedTree:
                 parent[w] = u
                 order.append(w)
     size = [1] * n
+    height = [0] * n
     for u in reversed(order[1:]):
-        size[parent[u]] += size[u]
-    return RootedTree(v, tuple(parent), tuple(size), tuple(order))
+        p = parent[u]
+        size[p] += size[u]
+        if height[u] >= height[p]:
+            height[p] = height[u] + 1
+    return RootedTree(v, tuple(parent), tuple(size), tuple(order), tuple(height))
+
+
+def eccentricities(rt: RootedTree) -> list[int]:
+    """The tree's height at every root (each vertex's eccentricity).
+
+    One top-down pass over ``rt`` reroots it: the longest path from u
+    either descends (``rt.height[u]``) or first climbs to its parent p and
+    then goes up again or down into a sibling subtree of u.
+    """
+    height, parent = rt.height, rt.parent
+    n = len(height)
+    # the two largest values of height[c] + 1 over the children c of each vertex
+    best = [0] * n
+    second = [0] * n
+    for u in rt.order[1:]:
+        p, h = parent[u], height[u] + 1
+        if h > best[p]:
+            best[p], second[p] = h, best[p]
+        elif h > second[p]:
+            second[p] = h
+    up = [0] * n
+    for u in rt.order[1:]:
+        p = parent[u]
+        sibling = second[p] if height[u] + 1 == best[p] else best[p]
+        up[u] = 1 + max(up[p], sibling)
+    return [max(height[u], up[u]) for u in range(n)]
 
 
 def hook_count(rt: RootedTree) -> Nat:

@@ -15,9 +15,62 @@ from shellings.bounds import (
     push_branch_from_root,
     weight_bound_coefficient,
 )
+from shellings.bigmath import binomial
 from shellings.errors import NotATreeError
-from shellings.graphs import Graph, classify, cycle_graph, path_graph, star_graph
-from shellings.trees import all_root_counts, tree_count
+from shellings.graphs import (
+    Graph,
+    all_labeled_trees,
+    bfs_distances,
+    classify,
+    cycle_graph,
+    path_graph,
+    random_tree,
+    star_graph,
+)
+from shellings.sweeps import sweep_bounds
+from shellings.trees import all_root_counts, eccentricities, root_tree, tree_count
+
+
+def reference_longest_path(g):
+    """All-pairs BFS: the lexicographically smallest diameter path, by brute force."""
+    n = g.num_vertices
+    if n == 1:
+        return [0]
+    dists = []
+    parents = []
+    for v in range(n):
+        d, p = bfs_distances(g, v)
+        dists.append(d)
+        parents.append(p)
+    diameter = max(max(row) for row in dists)
+    best = None
+    for u in range(n):
+        row = dists[u]
+        for w in range(n):
+            if row[w] != diameter:
+                continue
+            seq = [w]
+            while seq[-1] != u:
+                seq.append(parents[u][seq[-1]])
+            seq.reverse()
+            cand = tuple(seq)
+            if best is None or cand < best:
+                best = cand
+    return list(best)
+
+
+def reference_weight_coefficient(g, v):
+    """sum_{k<e} C(n-2, k), e the eccentricity of v by BFS."""
+    e = max(bfs_distances(g, v)[0])
+    return sum(binomial(g.num_vertices - 2, k) for k in range(e))
+
+
+def _trees_for_rerooting():
+    for n in range(1, 8):
+        yield from all_labeled_trees(n)
+    for n in range(8, 61, 4):
+        for seed in range(3):
+            yield random_tree(n, seed)
 
 
 def test_degree_lower_bound_equality_cases():
@@ -36,6 +89,13 @@ def test_degree_lower_bound_double_broom_strict():
     assert bound == 24
     assert tree_count(g) == 30
     assert not predicted
+
+
+def test_degree_equality_prediction_matches_classify():
+    for n in range(2, 8):
+        for g in all_labeled_trees(n):
+            tags = classify(g).tags
+            assert degree_lower_bound(g)[1] == ("Path" in tags or "Star" in tags), g.edges
 
 
 def test_degree_lower_bound_rejects_non_tree():
@@ -89,6 +149,9 @@ def test_weight_bound_coefficient_anchors():
     assert tree_count(path) == 2 ** (n - 2) * all_root_counts(path)[0]  # tight at the end
     for v in range(n):
         assert weight_bound_coefficient(path, v) <= 2 ** (n - 2)
+    for v in (-1, n):
+        with pytest.raises(ValueError):
+            weight_bound_coefficient(path, v)
 
 
 def test_longest_path_deterministic_lex_smallest():
@@ -96,6 +159,31 @@ def test_longest_path_deterministic_lex_smallest():
     relabeled = Graph.from_edges(4, [(3, 2), (2, 1), (1, 0)])
     assert longest_path(relabeled) == [0, 1, 2, 3]
     assert longest_descending_path(star_graph(4), 1) == [1, 0, 2]
+
+
+def test_longest_path_matches_all_pairs_reference():
+    for g in _trees_for_rerooting():
+        assert longest_path(g) == reference_longest_path(g), g.edges
+
+
+def test_weight_bound_coefficient_matches_bfs_eccentricity():
+    for g in _trees_for_rerooting():
+        for v in range(g.num_vertices):
+            assert weight_bound_coefficient(g, v) == reference_weight_coefficient(g, v), (
+                g.edges,
+                v,
+            )
+
+
+def test_eccentricities_from_any_rooting():
+    for n in (1, 2, 9, 40):
+        for seed in range(3):
+            g = random_tree(n, seed)
+            expected = [max(bfs_distances(g, v)[0]) for v in range(n)]
+            for r in {0, n // 2, n - 1}:
+                rt = root_tree(g, r)
+                assert eccentricities(rt) == expected
+                assert rt.height[r] == expected[r]
 
 
 def test_push_branch_examples():
@@ -184,3 +272,26 @@ def test_bound_report_fields():
     single_edge = bound_report(path_graph(2))
     assert single_edge.mid_spider_exact == 1
     assert single_edge.diameter_upper_printed == 2
+
+
+def test_sweep_bounds_check_names_and_case_counts():
+    gaps = (
+        "n=2 l=1: 2, n=3 l=2: 2, n=4 l=2: 2, n=4 l=3: 2, n=5 l=2: 2, "
+        "n=5 l=3: 2, n=5 l=4: 2, n=6 l=2: 2, n=6 l=3: 2, n=6 l=4: 2, n=6 l=5: 2"
+    )
+    outcomes = sweep_bounds(6)
+    assert all(o.ok for o in outcomes)
+    assert [(o.name, o.detail) for o in outcomes] == [
+        ("degree_lower_bound_holds", "1441 cases"),
+        ("degree_bound_equality_iff_path_or_star", "1441 cases"),
+        ("weight_bound_holds_every_root", "8476 cases"),
+        ("count_at_most_mid_spider_count", "1441 cases"),
+        ("count_at_most_printed_diameter_bound", "1441 cases"),
+        ("push_step_weight_sum_not_decreased", "6984 cases"),
+        ("push_step_preserves_size_and_depth", "6984 cases"),
+        ("pull_step_count_not_decreased", "500 cases"),
+        ("transform_fixpoints_reached", "2141 cases"),
+        ("printed_vs_extremal_regression_pins", "4 cases"),
+        ("printed_vs_extremal_gap_observed", gaps),
+        ("double_broom_family_closed_forms", "9 cases"),
+    ]

@@ -220,6 +220,23 @@ def test_bounds_on_random_tree(tmp_path, capsys):
     assert all(c["status"] == "pass" for c in doc["crossChecks"])
 
 
+def test_bounds_on_300_vertex_tree(tmp_path, capsys):
+    from shellings.bigmath import binomial
+    from shellings.graphs import bfs_distances, random_tree
+
+    g = random_tree(300, 1)
+    path = write_graph(tmp_path, "t300.txt", g.to_edge_list_text())
+    code, doc = run_json(capsys, "bounds", path)
+    assert code == 0
+    assert all(c["status"] == "pass" for c in doc["crossChecks"])
+    assert len(doc["results"]["exact"]) < 4300
+    n = g.num_vertices
+    for v in range(n):
+        ecc = max(bfs_distances(g, v)[0])
+        expected = sum(binomial(n - 2, k) for k in range(ecc))
+        assert doc["results"][f"weight_coeff_{v}"] == str(expected)
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     from shellings import sweeps
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shellings import graphs
 from shellings.errors import EdgeListParseError, GuardExceeded, NotATreeError
 from shellings.graphs import (
     Graph,
@@ -20,6 +21,7 @@ from shellings.graphs import (
     star_graph,
     tree_diameter,
 )
+from shellings.trees import all_root_counts, tree_count
 
 
 def test_parse_basic():
@@ -116,6 +118,38 @@ def test_classify_path_endpoints():
     cls = classify(path_graph(4))
     assert cls.primary == "Path"
     assert cls.path_endpoints == (0, 3)
+
+
+def test_is_tree_false_on_non_trees():
+    triangle_plus_isolated = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
+    assert triangle_plus_isolated.num_edges == triangle_plus_isolated.num_vertices - 1
+    assert not triangle_plus_isolated.is_tree()
+    assert not triangle_plus_isolated.is_tree()  # cached answer agrees
+    assert not cycle_graph(5).is_tree()
+    assert path_graph(5).is_tree()
+
+
+def test_cached_is_tree_keeps_equality_and_hash():
+    g = path_graph(6)
+    assert g.is_tree()
+    fresh = Graph.from_edges(6, g.edges)
+    assert g == fresh and fresh == g
+    assert hash(g) == hash(fresh)
+    assert {g: 1}[fresh] == 1
+
+
+def test_tree_work_checks_connectivity_once_per_graph(monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return is_connected(g)
+
+    monkeypatch.setattr(graphs, "is_connected", counting)
+    g = random_tree(12, 3)
+    tree_count(g)
+    all_root_counts(g)
+    assert len(calls) == 1
 
 
 def test_tree_diameter_values():
