@@ -57,7 +57,6 @@ from .graphs import (
     prufer_encode,
     random_tree,
     star_graph,
-    tree_diameter,
 )
 from .identities import (
     IdentityCase,

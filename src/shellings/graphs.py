@@ -259,26 +259,6 @@ def bfs_distances(g: Graph, source: int) -> tuple[list[int], list[int]]:
     return dist, parent
 
 
-def tree_diameter(g: Graph) -> tuple[int, list[int]]:
-    """Diameter (edge count) of a tree plus one realizing path.
-
-    Double BFS; ties at every choice go to the smallest vertex id.
-    """
-    if not g.is_tree():
-        raise NotATreeError("tree_diameter requires a tree")
-    if g.num_vertices == 1:
-        return 0, [0]
-    dist0, _ = bfs_distances(g, 0)
-    far = dist0.index(max(dist0))
-    dist1, parent = bfs_distances(g, far)
-    other = dist1.index(max(dist1))
-    path = [other]
-    while path[-1] != far:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return dist1[other], path
-
-
 def prufer_decode(seq, n: int) -> Graph:
     """The unique labeled tree on n >= 2 vertices with this Prufer sequence.
 

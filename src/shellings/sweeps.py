@@ -216,12 +216,12 @@ def sweep_bounds(max_n: int = DEFAULT_BOUND_SWEEP_N) -> list[CheckOutcome]:
     for n in range(2, max_n + 1):
         exhaustive_roots = n <= 6
         for g in all_labeled_trees(n):
-            count = tree_count(g)
+            roots = all_root_counts(g)
+            count = sum(roots) // 2
             bound, predicted = degree_lower_bound(g)
             lower.record(bound <= count, f"{g.edges}: {bound} > {count}")
             lower_eq.record((bound == count) == predicted, str(g.edges))
 
-            roots = all_root_counts(g)
             heights = eccentricities(root_tree(g, 0))
             for v, coeff in enumerate(weight_bound_coefficients(n, heights)):
                 weight.record(count <= coeff * roots[v], f"{g.edges} root {v}")
@@ -249,7 +249,7 @@ def sweep_bounds(max_n: int = DEFAULT_BOUND_SWEEP_N) -> list[CheckOutcome]:
 
             pulled = pull_branch_toward_middle(g)
             if pulled is not None:
-                pull_mono.record(tree_count(pulled) >= count, f"{g.edges}")
+                pull_mono.record(sum(all_root_counts(pulled)) >= sum(roots), f"{g.edges}")
 
             if n <= 6:
                 cur, steps = g, 0

@@ -4,13 +4,19 @@ Rooting a tree at v turns counting into a hook product: the number of
 shellings whose first edge touches v is n! divided by the product of all
 subtree sizes.  Adjacent roots differ by the simple ratio
 F(T_v)/F(T_u) = |T_u(v)| / (n - |T_u(v)|), so one hook evaluation plus a
-breadth-first propagation yields every root's count, and half their sum
-is the total (each shelling's first edge has two endpoints).
+breadth-first propagation yields every root's count (``all_root_counts``).
+The total is half the sum over roots (each shelling's first edge has two
+endpoints).  ``tree_count`` gets that sum without building any root's
+count: it sums the ratio products bottom-up as one fraction, merging
+children pairwise and composing each heavy path's affine steps by binary
+splitting, and finishes with one exact division.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+
 from .bigmath import Nat, factorial
 from .errors import ExactnessError, NotATreeError
 from .graphs import Graph
@@ -117,18 +123,81 @@ def all_root_counts(g: Graph, seed_root: int = 0) -> list[Nat]:
     return counts
 
 
+def _pairwise(items: list, combine):
+    """Fold ``items`` in order by merging neighbours level by level.
+
+    Merging equal-length operands keeps big-integer products balanced, so
+    the cost follows multiplication of the final sizes (binary splitting).
+    """
+    while len(items) > 1:
+        merged = [combine(x, y) for x, y in zip(items[::2], items[1::2])]
+        if len(items) % 2:
+            merged.append(items[-1])
+        items = merged
+    return items[0]
+
+
+def _add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """p/q + p'/q', unreduced."""
+    return x[0] * y[1] + y[0] * x[1], x[1] * y[1]
+
+
+def _compose(f: tuple[int, int, int], g: tuple[int, int, int]) -> tuple[int, int, int]:
+    """f after g, for maps (a, b, c): (p, q) -> (a p + b q, c q)."""
+    return f[0] * g[0], f[0] * g[1] + f[1] * g[2], f[2] * g[2]
+
+
 def tree_count(g: Graph) -> Nat:
     """F(T) = half the sum of all rooted counts; the sum is even.
 
-    The single-vertex tree has one (empty) shelling and no first edge to
-    halve over, so it is its own base case.
+    Rooted at 0, sum_v F(T_v) = F(T_0) * S(0), where S(u) sums the
+    root-ratio products over u's subtree:
+    S(u) = 1 + sum over children c of s_c / (n - s_c) * S(c).
+    S is kept as an unreduced fraction p/q.  With h the heavy (largest)
+    child of u, the light children's terms and the 1 are added pairwise
+    into a/b; then S(u) = a/b + s_h / (n - s_h) * S(h) is an affine map of
+    (p, q), and each heavy path's maps are composed pairwise, so no
+    per-root count is ever built.  The single-vertex tree has one (empty)
+    shelling and no first edge to halve over, so it is its own base case.
     """
     if not g.is_tree():
         raise NotATreeError("tree_count requires a tree")
-    if g.num_vertices <= 1:
+    n = g.num_vertices
+    if n <= 1:
         return 1
-    total = sum(all_root_counts(g))
-    q, r = divmod(total, 2)
+    rt = root_tree(g, 0)
+    size, parent = rt.subtree_size, rt.parent
+    heavy = [-1] * n
+    for u in rt.order[1:]:
+        p = parent[u]
+        if heavy[p] < 0 or size[u] > size[heavy[p]]:
+            heavy[p] = u
+    # terms s_c p_c / ((n - s_c) q_c) of finished light children, by parent
+    light: dict[int, list[tuple[int, int]]] = {}
+    for head in reversed(rt.order):
+        if head != 0 and heavy[parent[head]] == head:
+            continue
+        # S(u) = a/b + s/(n - s) * S(h) along the heavy path from head
+        maps = []
+        u = head
+        while heavy[u] >= 0:
+            terms = light.pop(u, None)
+            a, b = _pairwise([(1, 1)] + terms, _add) if terms else (1, 1)
+            s = size[heavy[u]]
+            maps.append((b * s, a * (n - s), b * (n - s)))
+            u = heavy[u]
+        p = q = 1  # the path ends at a leaf, where S = 1
+        if maps:
+            a, b, c = _pairwise(maps, _compose)
+            p, q = a + b, c
+        if head != 0:
+            s = size[head]
+            light.setdefault(parent[head], []).append((s * p, (n - s) * q))
+    # sum_v F(T_v) = n! / prod(sizes) * p / q
+    root_sum, r = divmod(factorial(n) * p, _pairwise(list(size), operator.mul) * q)
+    if r:
+        raise ExactnessError("sum of rooted counts must be an integer")
+    total, r = divmod(root_sum, 2)
     if r:
         raise ExactnessError("sum of rooted counts must be even")
-    return q
+    return total

@@ -120,7 +120,8 @@ if not sys.flags.optimize:
     sys.exit(3)
 closed_forms.factorial = trees.factorial = lambda n: math.factorial(n) + (n == 6)
 for call in (lambda: closed_forms.complete_bipartite_count(2, 3),
-             lambda: trees.hook_count(trees.root_tree(star_graph(6), 1))):
+             lambda: trees.hook_count(trees.root_tree(star_graph(6), 1)),
+             lambda: trees.tree_count(star_graph(6))):
     try:
         call()
     except ExactnessError:

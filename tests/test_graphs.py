@@ -19,9 +19,9 @@ from shellings.graphs import (
     prufer_encode,
     random_tree,
     star_graph,
-    tree_diameter,
 )
-from shellings.trees import all_root_counts, tree_count
+from shellings.bounds import longest_path
+from shellings.trees import all_root_counts, eccentricities, root_tree, tree_count
 
 
 def test_parse_basic():
@@ -152,13 +152,18 @@ def test_tree_work_checks_connectivity_once_per_graph(monkeypatch):
     assert len(calls) == 1
 
 
+def _diameter(g):
+    return max(eccentricities(root_tree(g, 0)))
+
+
 def test_tree_diameter_values():
-    assert tree_diameter(path_graph(6))[0] == 5
-    assert tree_diameter(star_graph(7))[0] == 2
+    assert len(longest_path(path_graph(6))) - 1 == _diameter(path_graph(6)) == 5
+    assert len(longest_path(star_graph(7))) - 1 == _diameter(star_graph(7)) == 2
     double_star = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
-    length, path = tree_diameter(double_star)
-    assert length == 3
+    path = longest_path(double_star)
+    assert _diameter(double_star) == 3
     assert len(path) == 4
+    assert all(v in double_star.adjacency[u] for u, v in zip(path, path[1:]))
 
 
 def test_tree_diameter_matches_eccentricities():
@@ -166,12 +171,14 @@ def test_tree_diameter_matches_eccentricities():
         for seed in range(5):
             g = random_tree(n, seed)
             by_ecc = max(max(bfs_distances(g, v)[0]) for v in range(n))
-            assert tree_diameter(g)[0] == by_ecc
+            assert len(longest_path(g)) - 1 == _diameter(g) == by_ecc
 
 
 def test_tree_diameter_rejects_non_tree():
     with pytest.raises(NotATreeError):
-        tree_diameter(cycle_graph(4))
+        longest_path(cycle_graph(4))
+    with pytest.raises(NotATreeError):
+        root_tree(cycle_graph(4), 0)
 
 
 def test_prufer_decode_examples():

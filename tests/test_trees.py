@@ -1,8 +1,12 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from shellings.errors import NotATreeError
+from shellings import trees
+from shellings.bounds import double_broom, mid_spider
+from shellings.errors import ExactnessError, NotATreeError
 from shellings.graphs import (
     Graph,
     all_labeled_trees,
@@ -12,6 +16,7 @@ from shellings.graphs import (
     star_graph,
 )
 from shellings.oracle import build_subset_table, count_shellings_dp, rooted_counts_from_table
+from shellings.sweeps import sweep_trees
 from shellings.trees import all_root_counts, hook_count, root_tree, tree_count
 
 # centers 0 (degree 2) and 1 (degree 3); leaf 2 on 0, leaves 3 and 4 on 1
@@ -140,3 +145,116 @@ def test_weights_match_root_count_ratios():
                 assert w == [Fraction(r, roots[v]) for r in roots]
                 # hook seed times weight sum equals the full rooted sum
                 assert roots[v] * sum(w) == sum(roots) == 2 * tree_count(g)
+
+
+def _root_sum_total(g):
+    """The total as half the sum of every root's count."""
+    return sum(all_root_counts(g)) // 2 if g.num_vertices > 1 else 1
+
+
+def _relabeled(g, seed):
+    perm = list(range(g.num_vertices))
+    random.Random(seed).shuffle(perm)
+    return Graph.from_edges(g.num_vertices, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def _caterpillar(spine):
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(i, spine + i) for i in range(spine)]
+    return Graph.from_edges(2 * spine, edges)
+
+
+def _broom(handle, bristles):
+    edges = [(i, i + 1) for i in range(handle - 1)]
+    edges += [(handle - 1, handle + i) for i in range(bristles)]
+    return Graph.from_edges(handle + bristles, edges)
+
+
+def _complete_binary_tree(levels):
+    n = 2 ** levels - 1
+    return Graph.from_edges(n, [((i - 1) // 2, i) for i in range(1, n)])
+
+
+SHAPES_NEAR_2000 = {
+    "path": path_graph(2000),
+    "star": star_graph(2000),
+    "caterpillar": _caterpillar(1000),
+    "broom": _broom(1000, 1000),
+    "double_broom": double_broom(500, 500, 1000),
+    "mid_spider": mid_spider(2000, 1000),
+    "complete_binary": _complete_binary_tree(11),
+}
+
+
+def test_tree_count_matches_root_sum_on_every_small_tree():
+    for n in range(1, 8):
+        for g in all_labeled_trees(n):
+            assert tree_count(g) == _root_sum_total(g), g.edges
+
+
+@pytest.mark.parametrize("n", [100, 1000, 4000])
+def test_tree_count_matches_root_sum_on_random_trees(n):
+    for seed in range(3):
+        g = random_tree(n, seed)
+        assert tree_count(g) == _root_sum_total(g)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES_NEAR_2000))
+def test_tree_count_matches_root_sum_on_shapes(shape):
+    # as built, vertex 0 is an end or a center; relabeled, it lands anywhere
+    g = SHAPES_NEAR_2000[shape]
+    for h in (g, _relabeled(g, 1), _relabeled(g, 2)):
+        assert tree_count(h) == _root_sum_total(h)
+
+
+def test_tree_count_with_tied_heaviest_children():
+    # root 0 has two legs of three vertices and one leaf; vertex 1 has two
+    # single-leaf children; the binary tree ties at every inner vertex
+    legs = Graph.from_edges(8, [(0, 1), (1, 3), (1, 4), (0, 2), (2, 5), (5, 6), (0, 7)])
+    for g in (legs, _complete_binary_tree(4), _relabeled(_complete_binary_tree(4), 3)):
+        assert tree_count(g) == _root_sum_total(g) == count_shellings_dp(g)
+
+
+def test_tree_count_on_one_and_two_vertices():
+    assert tree_count(Graph.from_edges(1, [])) == 1
+    assert tree_count(path_graph(2)) == _root_sum_total(path_graph(2)) == 1
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_tree_count_matches_dp_on_25_edge_trees(seed):
+    g = random_tree(26, seed)
+    assert tree_count(g) == count_shellings_dp(g, max_edges=25)
+
+
+def test_tree_count_refuses_an_odd_root_sum(monkeypatch):
+    # star_graph(4): the root sum is 12; a factorial four times too small
+    # keeps the division exact and makes the sum 3
+    monkeypatch.setattr(trees, "factorial", lambda n: math.factorial(n) // 4)
+    with pytest.raises(ExactnessError, match="even"):
+        tree_count(star_graph(4))
+
+
+def test_tree_count_builds_no_root_counts(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("tree_count must not build every root's count")
+
+    monkeypatch.setattr(trees, "all_root_counts", refuse)
+    assert tree_count(random_tree(50, 7)) > 0
+
+
+def test_sweep_trees_check_names_and_case_counts():
+    outcomes = sweep_trees(5)
+    assert all(o.ok for o in outcomes)
+    assert [(o.name, o.detail) for o in outcomes] == [
+        ("labeled_tree_enumeration_count", "5 cases"),
+        ("enumerated_trees_connected_with_n_minus_1_edges", "146 cases"),
+        ("prufer_roundtrip", "145 cases"),
+        ("hook_count_vs_rooted_dp", "700 cases"),
+        ("all_root_counts_vs_rooted_dp", "700 cases"),
+        ("tree_count_vs_dp", "146 cases"),
+        ("rooted_sum_is_twice_total", "145 cases"),
+        ("root_count_seed_independence", "435 cases"),
+        ("adjacent_root_integer_ratio", "555 cases"),
+        ("path_total_is_power_of_two", "19 cases"),
+        ("path_root_counts_are_binomials", "19 cases"),
+    ]
