@@ -1,7 +1,7 @@
 """Exact counting of graph shellings.
 
 A shelling of a graph is an ordering of its edges in which every prefix
-forms a connected subgraph.  This package counts them exactly: a subset
+forms a connected subgraph.  This package counts them exactly: a layered
 dynamic program usable as ground truth on small graphs, closed forms for
 complete and complete bipartite graphs, hook-product machinery for trees,
 degree/diameter bounds with their extremal shapes and transforms, and

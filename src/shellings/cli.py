@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 import time
 from pathlib import Path
@@ -106,18 +107,15 @@ def cmd_count(args: argparse.Namespace) -> int:
               "and no closed form applies", file=sys.stderr)
         return USAGE_ERROR
     if args.brute or not has_formula or (within_guard and not args.no_crosscheck):
-        stats: dict = {}
         try:
             value = _timed(report.timing, "dp",
-                           lambda: count_shellings_dp(g, args.max_dp_edges, stats=stats))
+                           lambda: count_shellings_dp(g, args.max_dp_edges))
         except GuardExceeded as exc:
             if args.brute or not has_formula:
                 raise
             # past the DP budget the formula stands unchecked, as past the edge guard
             print(f"note: DP cross-check skipped: {exc}", file=sys.stderr)
         else:
-            # the strategy goes in the timing key, never in results
-            report.timing[f"dp.{stats['strategy']}"] = report.timing.pop("dp")
             report.add_result("dp", value)
 
     order = ["dp"] if args.brute else ["complete_graph", "complete_bipartite", "tree", "dp"]
@@ -151,9 +149,37 @@ def cmd_tree_roots(args: argparse.Namespace) -> int:
     return 0 if report.all_passed else CHECK_FAILURE
 
 
+def _log10_result(family: str, params: list[int]) -> float:
+    """log10 of a closed form's value, from math.lgamma, before anything is
+    computed; 0 where the formula refuses its parameters itself."""
+    lg = math.lgamma
+    try:
+        if family == "kn" and params[0] >= 2:
+            # 2^(n-2) C(n,2)! / catalan(n-1), catalan(n-1) = (2n-2)! / ((n-1)! n!)
+            n = params[0]
+            ln = ((n - 2) * math.log(2) + lg(n * (n - 1) // 2 + 1)
+                  - lg(2 * n - 1) + lg(n) + lg(n + 1))
+        elif family == "kmn" and min(params) >= 1:
+            m, n = params
+            ln = lg(m + 1) + lg(n + 1) + lg(m * n + 1) - lg(m + n)
+        elif family == "path" and params[0] >= 2:
+            ln = (params[0] - 2) * math.log(2)
+        else:
+            return 0.0
+    except OverflowError:
+        return math.inf
+    return ln / math.log(10)
+
+
 def cmd_formula(args: argparse.Namespace) -> int:
     report = Report("formula", input={"family": args.family, "params": args.params})
     p = args.params
+    limit = sys.get_int_max_str_digits()
+    log10 = _log10_result(args.family, p)
+    if limit and log10 >= limit:
+        print(f"error: the result would have more than {limit} decimal digits, the limit "
+              f"of int-to-str conversion (estimated log10 {log10:.6g})", file=sys.stderr)
+        return USAGE_ERROR
     try:
         if args.family == "kn":
             (n,) = p
@@ -274,12 +300,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_count = sub.add_parser("count", help="count shellings of an edge-list file")
     p_count.add_argument("file", help="edge-list path, or - for stdin")
     p_count.add_argument("--brute", action="store_true",
-                         help="use the subset DP as the primary method")
+                         help="use the DP as the primary method")
     p_count.add_argument("--no-crosscheck", action="store_true",
                          help="skip the DP cross-check of formula results")
     p_count.add_argument("--max-dp-edges", type=int, default=DEFAULT_MAX_DP_EDGES,
-                         help="edge guard for the subset DP (default %(default)s); "
-                              "dense graphs also stop at the DP's table budget")
+                         help="edge guard for the DP (default %(default)s); "
+                              "the DP also stops at its state budget")
     p_count.set_defaults(func=cmd_count)
 
     p_roots = sub.add_parser("tree-roots", help="per-root shelling counts of a tree")

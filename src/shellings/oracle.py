@@ -1,31 +1,37 @@
-"""Brute-force shelling counters over edge subsets.
+"""Brute-force shelling counters: one layered DP and an enumerator.
 
 A shelling is an ordering of all edges in which every prefix forms a
-connected subgraph.  One dynamic program, seeded by a set of edges,
-counts for each edge subset S the orderings of S whose prefixes are all
-connected and whose first edge is a seed: S's count is the sum of the
-counts of S minus b over the edges b of S that touch S minus b.  A count
-is nonzero exactly when S is connected and contains a seed edge.
-Seeding every edge gives the shelling count; seeding the edges at v
-gives the shellings whose first edge touches v.
+connected subgraph.  An edge may extend a connected prefix S exactly when
+it touches V(S), the vertices S covers.  So the orderings that can follow
+S depend only on W = V(S) and k = |S|, and the DP runs over the states
+(W, k), holding for each the number of prefixes that reach it.  From
+(W, k) there are two kinds of step, each to a state with k + 1 edges:
 
-Two strategies compute the same counts:
+* place one of the inner(W) - k unplaced edges with both ends in W:
+  (W, k) -> (W, k + 1), in inner(W) - k ways;
+* join a vertex x outside W with a neighbour in W:
+  (W, k) -> (W + x, k + 1), in |N(x) & W| ways (one per edge from x to W).
 
-* ``connected``: a dict keyed by edge mask that holds only the subsets
-  with nonzero counts, grown one layer (one edge) at a time by adding
-  the edges that touch each subset.  Its cost follows the number of
-  connected subsets, which is tiny for paths, cycles and most trees.
-* ``table``: a list over all 2^m subsets, visited in plain integer
-  order, since S minus one bit is always smaller than S.  On dense
-  graphs, where most subsets are connected, it is about twice as fast.
+Each seed edge {u, v} starts the state ({u, v}, 1), and the count at
+(V(E), m) is the answer.  Seeding every edge gives the shelling count;
+seeding the edges at v gives the shellings whose first edge touches v.
 
-Graphs of at most TABLE_ONLY_EDGES edges go straight to the table: it
-takes milliseconds there, and its cost follows m alone, not the graph's
-shape.  On larger graphs the DP picks by observing the layered pass: it
-starts there and falls back to the table once the pass has kept more
-than 1/LAYERED_SHARE of the 2^m subsets (or of MAX_DP_ENTRIES, when
-smaller).  The table is only built when 2^m <= MAX_DP_ENTRIES; past
-that the DP raises GuardExceeded before allocating.
+Twins, two vertices with the same neighbours apart from each other (the
+leaves of one vertex, a side of K_{m,n}, all of K_n), are
+interchangeable: swapping them maps prefixes to prefixes.  So the DP
+keeps only how many of each twin class W holds.  It numbers each class
+as a run of vertices, keeps W to a prefix of every run, and counts a
+join of the run's next vertex once for each of the run's vertices still
+outside W.  Each seed edge adds one to the count of its state, so
+seeding the edges at one vertex needs no symmetry of the counts.  Layer
+k is one dict from W to a single int that packs the count with inner(W)
+and W's frontier (the vertices outside W adjacent to it).  K_{4,5} takes
+80 states, the star K_{1,20} 20, and a 40-edge cycle, which has no
+twins, 1,522.
+
+MAX_DP_ENTRIES bounds the states created over one run of the DP; past
+it the DP raises GuardExceeded.  ``count`` reports the DP's time under
+the timing key ``dp``.
 
 These counters are the oracle every closed-form result is tested against,
 so they stay deliberately direct.
@@ -40,53 +46,17 @@ from .graphs import Graph, is_connected
 
 DEFAULT_MAX_DP_EDGES = 20
 MAX_ENUM_EDGES = 8
-# Largest table the DP allocates, in entries: a full table at 22 edges.
+# Most (W, k) states one run of the DP may create, counting twins as one.
 MAX_DP_ENTRIES = 1 << 22
-# The layered pass gives up once it keeps more than 1/LAYERED_SHARE of the
-# table: past that the work it throws away on dense graphs outgrows what it
-# saves on sparse ones (measured on the benchmark's dp-sparse and dp-dense).
-LAYERED_SHARE = 16
-# Graphs of at most this many edges skip the layered pass: a 2^15-entry
-# table takes at most about 30 ms, whatever the graph, while the layered
-# pass's time follows the count of connected subsets, and a graph that
-# passes the share cap pays for an abandoned pass on top of the table.
-TABLE_ONLY_EDGES = 15
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubsetTable:
-    """Per-subset ordering counts for one graph, every edge a seed.
-
-    ``counts`` is a list over all 2^m subsets (strategy ``table``) or a
-    dict holding the empty set and the connected subsets (``connected``).
-    """
+    """The DP's result for one graph with every edge a seed."""
 
     edge_count: int
-    counts: list[int] | dict[int, int]
-    adj_masks: tuple[int, ...]
-    strategy: str
-
-    @property
-    def connected(self) -> bytes:
-        """2^m bytes: 1 for each nonempty connected subset, 0 otherwise.
-
-        Raises GuardExceeded when 2^m > MAX_DP_ENTRIES."""
-        if 1 << self.edge_count > MAX_DP_ENTRIES:
-            raise GuardExceeded(
-                f"{self.edge_count} edges: 2^{self.edge_count} connectivity flags "
-                f"exceed the DP budget of {MAX_DP_ENTRIES}")
-        if self.strategy == "table":
-            return b"\0" + bytes(map(bool, self.counts[1:]))
-        flags = bytearray(1 << self.edge_count)
-        for s in self.counts:
-            flags[s] = 1
-        flags[0] = 0
-        return bytes(flags)
-
-    @property
-    def total(self) -> int:
-        """Orderings of the whole edge set."""
-        return _full_count(self.counts, self.edge_count)
+    total: int
+    states: int
 
 
 def _edge_adjacency_masks(g: Graph) -> tuple[int, ...]:
@@ -101,119 +71,120 @@ def _edge_adjacency_masks(g: Graph) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def _guarded_adjacency_masks(g: Graph, max_edges: int) -> tuple[int, ...]:
+def _twin_runs(nbr: list[int]) -> list[list[int]]:
+    """The vertices with neighbours, split into twin classes.
+
+    x and y are twins when they have the same neighbours apart from each
+    other: N(x) = N(y) (never adjacent) or N(x) + x = N(y) + y (adjacent).
+    No vertex has twins of both kinds.  ``nbr`` holds each vertex's
+    neighbours as a bit mask."""
+    by_open: dict[int, list[int]] = {}
+    for v, s in enumerate(nbr):
+        if s:
+            by_open.setdefault(s, []).append(v)
+    runs = []
+    by_closed: dict[int, list[int]] = {}
+    for s, members in by_open.items():
+        if len(members) > 1:
+            runs.append(members)
+        else:
+            by_closed.setdefault(s | 1 << members[0], []).append(members[0])
+    return runs + list(by_closed.values())
+
+
+def _shelling_dp(g: Graph, root: int | None = None) -> tuple[int, int]:
+    """Orderings of all edges with every prefix connected and the first
+    edge at ``root`` (anywhere when None), and the (W, k) states created."""
+    m = g.num_edges
+    if m == 0:
+        return 1, 0
+    nbr = [0] * g.num_vertices
+    for u, v in g.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    # number the vertices so each twin class is a run of positions; per
+    # position, the start of its run and how many of the run it leaves
+    runs = _twin_runs(nbr)
+    pos = [0] * g.num_vertices
+    for i, v in enumerate([v for run in runs for v in run]):
+        pos[v] = i
+    start, rest = [], []
+    heads = 0
+    for run in runs:
+        heads |= 1 << len(start)
+        start += [len(start)] * len(run)
+        rest += range(len(run), 0, -1)
+    n = len(start)
+    nbr = [0] * n
+    for u, v in g.edges:
+        nbr[pos[u]] |= 1 << pos[v]
+        nbr[pos[v]] |= 1 << pos[u]
+    # one int per state: count << shift | inner(W) << n | frontier(W)
+    vmask = (1 << n) - 1
+    shift = n + m.bit_length()
+    low = (1 << shift) - 1
+    layer = {}
+    for u, v in g.edges:
+        if root is None or root in (u, v):
+            # the seed's state, covering the first members of its runs
+            a, b = start[pos[u]], start[pos[v]]
+            b += a == b
+            w = 1 << a | 1 << b
+            layer[w] = layer.get(w, 1 << n | (nbr[a] | nbr[b]) & ~w) + (1 << shift)
+    created = len(layer)
+    for k in range(1, m):
+        grown = {}
+        room = MAX_DP_ENTRIES - created
+        for w, p in layer.items():
+            ways = p - (p & low)  # the count, still shifted
+            inner = (p & low) >> n
+            if inner > k:
+                grown[w] = grown.get(w, p & low) + ways * (inner - k)
+            frontier = p & vmask
+            # only the next member of a run joins, for each of the rest of it
+            joins = frontier & (heads | w << 1)
+            while joins:
+                xb = joins & -joins
+                joins ^= xb
+                x = xb.bit_length() - 1
+                nx = nbr[x]
+                j = (nx & w).bit_count()
+                w2 = w | xb
+                q = grown.get(w2)
+                if q is None:
+                    grown[w2] = ways * j * rest[x] | (inner + j) << n | (p | nx) & vmask & ~w2
+                else:
+                    grown[w2] = q + ways * j * rest[x]
+            if len(grown) > room:
+                raise GuardExceeded(
+                    f"{m} edges: more than {MAX_DP_ENTRIES} DP states, the DP budget")
+        created += len(grown)
+        layer = grown
+    return layer.get(vmask, 0) >> shift, created
+
+
+def _edge_guard(g: Graph, max_edges: int) -> None:
     if g.num_edges > max_edges:
         raise GuardExceeded(f"{g.num_edges} edges exceeds DP guard {max_edges}")
-    return _edge_adjacency_masks(g)
-
-
-def _edges_at(g: Graph, v: int) -> int:
-    return sum(1 << e for e, edge in enumerate(g.edges) if v in edge)
-
-
-def _shelling_counts(adj_masks: tuple[int, ...], seed_mask: int) -> list[int]:
-    """counts[s]: orderings of edge subset s with every prefix connected
-    and the first edge in seed_mask; counts[0] is 1."""
-    m = len(adj_masks)
-    counts = [0] * (1 << m)
-    counts[0] = 1
-    touches = {}
-    for e, adj in enumerate(adj_masks):
-        touches[1 << e] = adj
-        if seed_mask >> e & 1:
-            counts[1 << e] = 1
-    for s in range(3, 1 << m):
-        if not s & (s - 1):  # singletons keep their seed value
-            continue
-        total = 0
-        rest = s
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            t = s ^ b
-            c = counts[t]
-            if c and touches[b] & t:
-                total += c
-        counts[s] = total
-    return counts
-
-
-def _connected_counts(adj_masks: tuple[int, ...], seed_mask: int,
-                      cap: int) -> dict[int, int] | None:
-    """The nonzero counts of _shelling_counts, and counts[0], as a dict;
-    None as soon as it would hold more than ``cap`` entries."""
-    touches = {1 << e: adj for e, adj in enumerate(adj_masks)}
-    counts = {0: 1}
-    layer = {}  # newest layer: subset -> the edges in it or touching it
-    for b, adj in touches.items():
-        if seed_mask & b:
-            counts[b] = 1
-            layer[b] = adj | b
-    for _ in range(len(adj_masks) - 1):
-        grown = {}
-        for s, reach in layer.items():
-            c = counts[s]
-            rest = reach ^ s
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                t = s | b
-                if t in grown:
-                    counts[t] += c
-                else:
-                    if len(counts) >= cap:
-                        return None
-                    counts[t] = c
-                    grown[t] = reach | touches[b]
-        layer = grown
-    return counts
-
-
-def _subset_counts(adj_masks: tuple[int, ...],
-                   seed_mask: int) -> tuple[list[int] | dict[int, int], str]:
-    """Counts and the strategy that produced them (see the module docstring)."""
-    m = len(adj_masks)
-    if m > TABLE_ONLY_EDGES or 1 << m > MAX_DP_ENTRIES:
-        cap = min(1 << m, MAX_DP_ENTRIES) // LAYERED_SHARE
-        counts = _connected_counts(adj_masks, seed_mask, cap)
-        if counts is not None:
-            return counts, "connected"
-    if 1 << m > MAX_DP_ENTRIES:
-        raise GuardExceeded(
-            f"{m} edges: more than {MAX_DP_ENTRIES // LAYERED_SHARE} connected "
-            f"subsets and a 2^{m}-entry table exceeds the DP budget of {MAX_DP_ENTRIES}")
-    return _shelling_counts(adj_masks, seed_mask), "table"
-
-
-def _full_count(counts: list[int] | dict[int, int], m: int) -> int:
-    return counts.get((1 << m) - 1, 0) if isinstance(counts, dict) else counts[-1]
 
 
 def build_subset_table(g: Graph, max_edges: int = DEFAULT_MAX_DP_EDGES) -> SubsetTable:
-    adj_masks = _guarded_adjacency_masks(g, max_edges)
-    counts, strategy = _subset_counts(adj_masks, (1 << g.num_edges) - 1)
-    return SubsetTable(g.num_edges, counts, adj_masks, strategy)
+    """Run the DP with every edge a seed."""
+    _edge_guard(g, max_edges)
+    total, states = _shelling_dp(g)
+    return SubsetTable(g.num_edges, total, states)
 
 
 def rooted_counts_from_table(table: SubsetTable, g: Graph, v: int) -> int:
-    """Orderings whose first edge is incident to v, reusing the edge adjacency."""
-    counts, _ = _subset_counts(table.adj_masks, _edges_at(g, v))
-    return _full_count(counts, table.edge_count)
+    """Orderings whose first edge is incident to v: the DP rerun, seeded at v."""
+    return _shelling_dp(g, v)[0]
 
 
-def count_shellings_dp(g: Graph, max_edges: int = DEFAULT_MAX_DP_EDGES,
-                       stats: dict | None = None) -> int:
-    """Exact shelling count F(g); 0 if g is disconnected.
-
-    When ``stats`` is given and the DP runs, ``stats["strategy"]`` is set
-    to the strategy that produced the count.
-    """
+def count_shellings_dp(g: Graph, max_edges: int = DEFAULT_MAX_DP_EDGES) -> int:
+    """Exact shelling count F(g); 0 if g is disconnected."""
     if not is_connected(g):
         return 0
-    table = build_subset_table(g, max_edges)
-    if stats is not None:
-        stats["strategy"] = table.strategy
-    return table.total
+    return build_subset_table(g, max_edges).total
 
 
 def count_rooted_shellings_dp(g: Graph, v: int, max_edges: int = DEFAULT_MAX_DP_EDGES) -> int:
@@ -222,8 +193,8 @@ def count_rooted_shellings_dp(g: Graph, v: int, max_edges: int = DEFAULT_MAX_DP_
         raise ValueError(f"vertex {v} out of range")
     if not is_connected(g):
         return 0
-    counts, _ = _subset_counts(_guarded_adjacency_masks(g, max_edges), _edges_at(g, v))
-    return _full_count(counts, g.num_edges)
+    _edge_guard(g, max_edges)
+    return _shelling_dp(g, v)[0]
 
 
 def enumerate_shellings(g: Graph, limit: int | None = None) -> list[tuple[int, ...]]:

@@ -1,5 +1,5 @@
 """Verification sweeps: every module's invariants run over exhaustive
-small-case grids, with the subset DP as ground truth.
+small-case grids, with the DP oracle as ground truth.
 
 Each sweep returns CheckOutcome records (one per named property, with case
 counts in the detail string); the CLI `verify` command turns them into a

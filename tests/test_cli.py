@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from shellings import closed_forms
 from shellings.cli import main
 from shellings.graphs import parse_edge_list
 from shellings.report import Report
@@ -89,20 +90,21 @@ def test_count_non_ascii_digits_exit_code(tmp_path, capsys, text):
 
 
 def test_count_names_dp_strategy_in_timing(tmp_path, capsys):
+    # one DP, so one timing key, "dp", whatever the graph
     path16 = write_graph(tmp_path, "p17.txt", "".join(f"{i} {i + 1}\n" for i in range(16)))
     code, doc = run_json(capsys, "count", path16)
     assert code == 0
-    assert "dp.connected" in doc["timing"] and "dp.table" not in doc["timing"]
+    assert [k for k in doc["timing"] if k.startswith("dp")] == ["dp"]
     assert doc["results"] == {"tree": str(2**15), "dp": str(2**15)}
     k34 = write_graph(tmp_path, "k34.txt", "".join(f"{i} {j}\n" for i in range(3) for j in range(3, 7)))
     code, doc = run_json(capsys, "count", k34)
     assert code == 0
-    assert "dp.table" in doc["timing"] and "dp.connected" not in doc["timing"]
+    assert [k for k in doc["timing"] if k.startswith("dp")] == ["dp"]
     assert set(doc["results"]) == {"complete_bipartite", "dp"}
     single = write_graph(tmp_path, "k1.txt", "n 1\n")
     code, doc = run_json(capsys, "count", single)
     assert code == 0
-    assert "dp.table" in doc["timing"] and doc["results"]["dp"] == "1"
+    assert "dp" in doc["timing"] and doc["results"]["dp"] == "1"
 
 
 def test_count_sparse_graph_past_twenty_edges(tmp_path, capsys):
@@ -115,9 +117,13 @@ def test_count_sparse_graph_past_twenty_edges(tmp_path, capsys):
 def test_count_dense_graph_past_budget_exit_code(tmp_path, capsys, monkeypatch):
     from shellings import oracle
 
-    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 1 << 10)
+    # K_{3,5} plus an edge inside a part: no closed form, 76 DP states
     k35 = "".join(f"{i} {j}\n" for i in range(3) for j in range(3, 8))
     path = write_graph(tmp_path, "k35.txt", k35 + "0 1\n")
+    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 76)
+    code, doc = run_json(capsys, "count", path)
+    assert code == 0 and "dp" in doc["results"]
+    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 75)
     code, out, err = run(capsys, "count", path)
     assert code == 2
     assert out == ""
@@ -127,7 +133,8 @@ def test_count_dense_graph_past_budget_exit_code(tmp_path, capsys, monkeypatch):
 def test_count_formula_graph_past_budget_skips_crosscheck(tmp_path, capsys, monkeypatch):
     from shellings import oracle
 
-    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 1 << 10)
+    # K_{3,5} takes 45 DP states
+    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 44)
     path = write_graph(tmp_path, "k35.txt", "".join(f"{i} {j}\n" for i in range(3) for j in range(3, 8)))
     code, out, err = run(capsys, "count", path)
     assert code == 0
@@ -191,6 +198,39 @@ def test_formula_commands(capsys):
     assert doc["results"]["stanley_inner_sum"] == "2/3"
     code, doc = run_json(capsys, "formula", "path", "10")
     assert code == 0 and doc["results"]["path"] == "256"
+
+
+@pytest.mark.parametrize("params", [["kn", "3000"], ["kmn", "60", "60"], ["path", "20000"],
+                                    ["kmn", str(10**200), "3"], ["path", str(10**400)]])
+def test_formula_refuses_results_past_the_digit_limit(capsys, monkeypatch, params):
+    import time
+
+    from shellings import closed_forms
+
+    def never(*args):
+        raise AssertionError("computed a refused formula")
+
+    for name in ("complete_graph_count", "complete_bipartite_count", "path_count"):
+        monkeypatch.setattr(closed_forms, name, never)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "formula", *params)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the result would have more than 4300 decimal digits")
+
+
+def test_formula_digit_limit_boundary(capsys):
+    # 2^14284 has 4,300 digits, 2^14285 has 4,301
+    code, doc = run_json(capsys, "formula", "path", "14286")
+    assert code == 0 and doc["results"]["path"] == str(2**14284)
+    code, out, err = run(capsys, "formula", "path", "14287")
+    assert code == 2 and out == "" and "4300 decimal digits" in err
+    code, doc = run_json(capsys, "formula", "kn", "30")
+    assert code == 0 and doc["results"]["complete_graph"] == str(closed_forms.complete_graph_count(30))
+    code, doc = run_json(capsys, "formula", "kmn", "10", "10")
+    assert code == 0
+    assert doc["results"]["complete_bipartite"] == str(closed_forms.complete_bipartite_count(10, 10))
 
 
 def test_formula_bad_params(capsys):

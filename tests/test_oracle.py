@@ -1,8 +1,10 @@
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shellings import oracle
+from shellings import closed_forms, oracle
 from shellings.errors import GuardExceeded
 from shellings.graphs import (
     Graph,
@@ -116,9 +118,84 @@ def test_rooted_sum_is_twice_total_on_trees():
 
 def test_subset_table_conventions():
     table = build_subset_table(path_graph(3))
-    assert table.counts[0] == 1
-    assert table.counts[1] == table.counts[2] == 1
-    assert table.connected[3] == 1
+    # the ends are twins, so seeds {0,1} and {1,2} share a state; then ({0,1,2}, 2)
+    assert (table.edge_count, table.total, table.states) == (2, 2, 2)
+    # no twins: three seeds, the two 2-edge subpaths, the whole path
+    table = build_subset_table(path_graph(4))
+    assert (table.edge_count, table.total, table.states) == (3, 4, 6)
+    single = build_subset_table(Graph.from_edges(1, []))
+    assert (single.edge_count, single.total, single.states) == (0, 1, 0)
+    # the table counts orderings of the edge set alone; isolated vertices
+    # are count_shellings_dp's business
+    with_isolated = Graph.from_edges(3, [(0, 1)])
+    assert build_subset_table(with_isolated).total == 1
+    assert count_shellings_dp(with_isolated) == 0
+    assert build_subset_table(Graph.from_edges(4, [(0, 1), (2, 3)])).total == 0
+
+
+def reference_subset_counts(g: Graph, seed_mask: int) -> list[int]:
+    """counts[s]: orderings of edge subset s with every prefix connected
+    and the first edge in seed_mask; counts[0] is 1.  The edge-subset
+    recurrence over all 2^m subsets, kept here as an independent reference:
+    S's count is the sum of the counts of S minus b over the edges b of S
+    that touch S minus b."""
+    adj_masks = oracle._edge_adjacency_masks(g)
+    m = len(adj_masks)
+    counts = [0] * (1 << m)
+    counts[0] = 1
+    touches = {}
+    for e, adj in enumerate(adj_masks):
+        touches[1 << e] = adj
+        if seed_mask >> e & 1:
+            counts[1 << e] = 1
+    for s in range(3, 1 << m):
+        if not s & (s - 1):  # singletons keep their seed value
+            continue
+        total = 0
+        rest = s
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            t = s ^ b
+            c = counts[t]
+            if c and touches[b] & t:
+                total += c
+        counts[s] = total
+    return counts
+
+
+def edges_at(g: Graph, v: int) -> int:
+    return sum(1 << e for e, edge in enumerate(g.edges) if v in edge)
+
+
+def twin_classes(g: Graph) -> list[int]:
+    """Vertex masks of the classes of x ~ y iff N(x) - y = N(y) - x."""
+    nbr = [{u for e in g.edges if v in e for u in e if u != v} for v in range(g.num_vertices)]
+    classes: list[int] = []
+    for v in range(g.num_vertices):
+        for i, c in enumerate(classes):
+            y = c.bit_length() - 1
+            if nbr[v] - {y} == nbr[y] - {v}:
+                classes[i] |= 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return classes
+
+
+def covered_states(g: Graph, counts: list[int]) -> set[tuple]:
+    """(covered vertices of each twin class, size) of every nonempty subset
+    with a nonzero count: the DP's states, up to swapping twins."""
+    classes = twin_classes(g)
+    states = set()
+    for s, c in enumerate(counts):
+        if s and c:
+            cover = 0
+            for e, (u, v) in enumerate(g.edges):
+                if s >> e & 1:
+                    cover |= 1 << u | 1 << v
+            states.add((tuple((cover & t).bit_count() for t in classes), s.bit_count()))
+    return states
 
 
 @st.composite
@@ -156,55 +233,99 @@ def test_dp_budget_counts_sparse_graphs_past_twenty_edges():
 
 
 def test_dp_budget_refuses_dense_graphs(monkeypatch):
-    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 1 << 12)
-    # 106 connected subsets fit the layered pass's 256 entries
-    assert count_shellings_dp(path_graph(15)) == 2**13
+    k35 = complete_bipartite_graph(3, 5)
+    assert build_subset_table(k35).states == 45
+    rooted, rooted_states = oracle._shelling_dp(k35, 0)
+    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 45)
+    assert count_shellings_dp(k35) == closed_forms.complete_bipartite_count(3, 5)
+    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 44)
+    # a 15-edge star, its leaves all twins, takes one state per layer and fits
+    assert build_subset_table(star_graph(16)).states == 15
+    assert count_shellings_dp(star_graph(16)) == math.factorial(15)
     with pytest.raises(GuardExceeded, match="budget"):
-        count_shellings_dp(complete_bipartite_graph(3, 5))
+        count_shellings_dp(k35)
+    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", rooted_states)
+    assert count_rooted_shellings_dp(k35, 0) == rooted > 0
+    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", rooted_states - 1)
     with pytest.raises(GuardExceeded, match="budget"):
-        count_rooted_shellings_dp(complete_bipartite_graph(3, 5), 0)
+        count_rooted_shellings_dp(k35, 0)
 
 
-def test_connected_bytes_refused_past_budget(monkeypatch):
-    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 1 << 12)
-    table = build_subset_table(path_graph(15))
-    assert table.strategy == "connected" and table.total == 2**13
+def test_rooted_rerun_refused_past_budget(monkeypatch):
+    g = Graph.from_edges(8, complete_bipartite_graph(3, 5).edges + ((0, 1),))
+    table = build_subset_table(g)
+    assert table.states == 76
+    rooted_states = oracle._shelling_dp(g, 3)[1]
+    assert rooted_states < 76
+    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", rooted_states - 1)
     with pytest.raises(GuardExceeded, match="budget"):
-        table.connected
-    assert len(build_subset_table(path_graph(13)).connected) == 1 << 12
+        rooted_counts_from_table(table, g, 3)
+    with pytest.raises(GuardExceeded, match="budget"):
+        build_subset_table(g)
 
 
-def test_strategy_follows_the_connected_share():
-    assert build_subset_table(path_graph(17)).strategy == "connected"
-    assert build_subset_table(cycle_graph(20)).strategy == "connected"
-    # 16 edges, 93% of subsets connected: the pass stops at 2^16 / 16 entries
-    assert build_subset_table(complete_bipartite_graph(4, 4)).strategy == "table"
-    # at most TABLE_ONLY_EDGES edges, however sparse: straight to the table
-    assert oracle.TABLE_ONLY_EDGES == 15
-    assert build_subset_table(path_graph(16)).strategy == "table"
-    assert build_subset_table(complete_bipartite_graph(3, 4)).strategy == "table"
+def test_state_counts_follow_the_covered_sets():
+    # every subpath, every arc of a cycle plus (V, 39) and (V, 40): no twins;
+    # the centre with any number of the star's leaves, all twins
+    assert build_subset_table(path_graph(17)).states == 17 * 16 // 2
+    assert build_subset_table(cycle_graph(40), max_edges=40).states == 38 * 40 + 2
+    assert build_subset_table(star_graph(12)).states == 11
+    assert build_subset_table(star_graph(21)).states == 20
+    # a of the 4 and b of the 5 covered, with a + b - 1 to a*b edges placed
+    assert build_subset_table(complete_bipartite_graph(4, 5)).states == sum(
+        a * b - (a + b - 1) + 1 for a in range(1, 5) for b in range(1, 6))
+    assert build_subset_table(complete_bipartite_graph(3, 5)).states == 45
+    # c of the 6 covered, with c - 1 to c(c-1)/2 edges placed
+    assert build_subset_table(complete_graph(6)).states == sum(
+        c * (c - 1) // 2 - (c - 1) + 1 for c in range(2, 7))
 
 
-def test_connected_bytes_agree_between_strategies():
+def test_dp_matches_subset_reference_past_sixteen_edges():
     g = Graph.from_edges(16, [(i, i + 1) for i in range(15)] + [(0, 15), (3, 9)])
     table = build_subset_table(g)
-    assert table.strategy == "connected"
-    full = oracle._shelling_counts(table.adj_masks, (1 << g.num_edges) - 1)
-    assert table.connected == b"\0" + bytes(map(bool, full[1:]))
+    full = reference_subset_counts(g, (1 << g.num_edges) - 1)
     assert table.total == full[-1]
+    assert table.states == len(covered_states(g, full))
 
 
 @given(connected_graphs(max_edges=12))
 @example(complete_graph(5))
 @example(complete_bipartite_graph(3, 4))
+@example(star_graph(9))
 @settings(derandomize=True, deadline=None, max_examples=60)
-def test_both_strategies_agree_on_every_connected_subset(g):
-    adj = oracle._edge_adjacency_masks(g)
-    seeds = [(1 << g.num_edges) - 1] + [oracle._edges_at(g, v) for v in range(g.num_vertices)]
-    for seed in seeds:
-        table = oracle._shelling_counts(adj, seed)
-        layered = oracle._connected_counts(adj, seed, cap=1 << g.num_edges)
-        assert layered == {s: c for s, c in enumerate(table) if c}
+def test_dp_matches_subset_reference_on_random_connected_graphs(g):
+    full = reference_subset_counts(g, (1 << g.num_edges) - 1)
+    table = build_subset_table(g)
+    assert table.total == count_shellings_dp(g) == full[-1]
+    assert table.states == len(covered_states(g, full))
+    for v in range(g.num_vertices):
+        rooted = reference_subset_counts(g, edges_at(g, v))
+        assert rooted_counts_from_table(table, g, v) == rooted[-1]
+        assert count_rooted_shellings_dp(g, v) == rooted[-1]
+        assert oracle._shelling_dp(g, v)[1] == len(covered_states(g, rooted))
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(2, 5) for n in range(m, 11) if m * n <= 20])
+def test_dp_matches_complete_bipartite_formula(m, n):
+    assert count_shellings_dp(complete_bipartite_graph(m, n)) == \
+        closed_forms.complete_bipartite_count(m, n)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_dp_matches_complete_graph_formula(n):
+    assert count_shellings_dp(complete_graph(n)) == closed_forms.complete_graph_count(n)
+
+
+@pytest.mark.parametrize("extra", [[], [(0, 1), (2, 3)], [(0, 1), (2, 3), (4, 5), (0, 6)]],
+                         ids=["14edges", "16edges", "18edges"])
+def test_dp_matches_subset_reference_on_dense_7_vertex_graphs(extra):
+    # K_7 minus the 7-cycle 0-1-2-...-6-0, with 0, 2 or 4 of its edges put back
+    removed = [(0, 1), (2, 3), (4, 5), (0, 6), (1, 2), (3, 4), (5, 6)]
+    edges = [e for e in complete_graph(7).edges if e not in removed] + extra
+    g = Graph.from_edges(7, edges)
+    full = reference_subset_counts(g, (1 << g.num_edges) - 1)
+    assert count_shellings_dp(g) == full[-1]
+    assert build_subset_table(g).states == len(covered_states(g, full))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
