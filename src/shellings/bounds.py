@@ -107,13 +107,11 @@ def weight_bound_coefficients(n: int, heights) -> list[Nat]:
 
 def weight_bound_coefficient(g: Graph, v: int) -> Nat:
     """sum_{k=0}^{l-1} C(n-2, k), l the depth of the tree rooted at v."""
-    if not g.is_tree():
-        raise NotATreeError("weight_bound_coefficient requires a tree")
+    heights = eccentricities(root_tree(g, 0))
     n = g.num_vertices
     if not 0 <= v < n:
         raise ValueError(f"vertex {v} out of range")
-    height = eccentricities(root_tree(g, 0))[v]
-    return weight_bound_coefficients(n, [height])[0]
+    return weight_bound_coefficients(n, [heights[v]])[0]
 
 
 def _diameter_rooting(g: Graph) -> RootedTree:
@@ -131,8 +129,6 @@ def _diameter_rooting(g: Graph) -> RootedTree:
 
 def longest_path(g: Graph) -> list[int]:
     """Lexicographically smallest diameter-realizing vertex sequence."""
-    if not g.is_tree():
-        raise NotATreeError("longest_path requires a tree")
     return _descending_path(g, _diameter_rooting(g))
 
 
@@ -145,8 +141,6 @@ def push_branch_from_root(g: Graph, v: int) -> Graph | None:
     p_{i+1}.  Returns None when no such i exists (fixpoint: every off-path
     vertex hangs on p_{l-1}).
     """
-    if not g.is_tree():
-        raise NotATreeError("push_branch_from_root requires a tree")
     rt = root_tree(g, v)
     path = _descending_path(g, rt)
     ell = len(path) - 1
@@ -194,8 +188,6 @@ def pull_branch_toward_middle(g: Graph) -> Graph | None:
     otherwise the largest branching index j > l//2 shifts its pendants to
     p_{j-1}.  Fixpoint: all pendants on p_{l//2}, the mid-spider shape.
     """
-    if not g.is_tree():
-        raise NotATreeError("pull_branch_toward_middle requires a tree")
     n = g.num_vertices
     rt = _diameter_rooting(g)
     path = _descending_path(g, rt)

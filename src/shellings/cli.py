@@ -97,23 +97,14 @@ def cmd_count(args: argparse.Namespace) -> int:
         report.add_result("tree", _timed(report.timing, "tree", lambda: tree_count(g)))
 
     has_formula = bool(report.results)
-    within_guard = g.num_edges <= args.max_dp_edges
-    if args.brute and not within_guard:
-        print(f"error: --brute requires <= {args.max_dp_edges} edges (have {g.num_edges})",
-              file=sys.stderr)
-        return USAGE_ERROR
-    if not has_formula and not within_guard:
-        print(f"error: {g.num_edges} edges exceeds DP guard {args.max_dp_edges} "
-              "and no closed form applies", file=sys.stderr)
-        return USAGE_ERROR
-    if args.brute or not has_formula or (within_guard and not args.no_crosscheck):
+    if args.brute or not has_formula or not args.no_crosscheck:
         try:
             value = _timed(report.timing, "dp",
                            lambda: count_shellings_dp(g, args.max_dp_edges))
         except GuardExceeded as exc:
             if args.brute or not has_formula:
                 raise
-            # past the DP budget the formula stands unchecked, as past the edge guard
+            # past the edge guard or the state budget the formula stands unchecked
             print(f"note: DP cross-check skipped: {exc}", file=sys.stderr)
         else:
             report.add_result("dp", value)

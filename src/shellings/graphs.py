@@ -2,9 +2,11 @@
 
 Graphs are undirected and simple, with vertices 0..n-1 and a canonical
 edge list (each pair (u, v) with u < v, list sorted, duplicate-free), so
-graph equality is plain tuple equality.  Labeled trees are generated
-through Prufer sequences, exhaustively or at random from a splitmix64
-stream.
+graph equality is plain tuple equality.  Each fact about a graph is
+settled by one check: connectivity by one traversal, kept on the graph;
+K_{m,n} by one pass over the edges in ``classify``; tree-ness by the
+rooting pass (``trees.root_tree``).  Labeled trees are generated through
+Prufer sequences, exhaustively or at random from a splitmix64 stream.
 """
 
 from __future__ import annotations
@@ -62,15 +64,26 @@ class Graph:
         return len(self.adjacency[v])
 
     @cached_property
-    def _is_tree(self) -> bool:
-        return (
-            self.num_vertices >= 1
-            and self.num_edges == self.num_vertices - 1
-            and is_connected(self)
-        )
+    def _connected(self) -> bool:
+        n = self.num_vertices
+        if n <= 1:
+            return True
+        seen = [False] * n
+        seen[0] = True
+        stack = [0]
+        count = 1
+        adj = self.adjacency
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    count += 1
+                    stack.append(w)
+        return count == n
 
     def is_tree(self) -> bool:
-        return self._is_tree
+        return self.num_edges == self.num_vertices - 1 and is_connected(self)
 
     def to_edge_list_text(self) -> str:
         """Render in the edge-list file format accepted by parse_edge_list.
@@ -143,61 +156,25 @@ def parse_edge_list(text: str | bytes) -> Graph:
     if declared is not None and max_id >= declared:
         raise EdgeListParseError(f"vertex id {max_id} >= declared n {declared}")
     n = declared if declared is not None else max_id + 1
-    return Graph.from_edges(n, edges)
+    # the edges are canonical, distinct and in range already
+    return Graph(n, tuple(sorted(edges)))
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff one component spans all vertices; 0- and 1-vertex graphs count."""
-    n = g.num_vertices
-    if n <= 1:
-        return True
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    adj = g.adjacency
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == n
+    """True iff one component spans all vertices; 0- and 1-vertex graphs count.
+
+    The traversal runs once per graph; later calls read its answer."""
+    return g._connected
 
 
 @dataclass(frozen=True)
 class GraphClass:
-    """Most specific class tag plus every coarser applicable tag."""
+    """Most specific class tag plus every coarser applicable tag, and the
+    part sizes (smaller first) when the graph is complete bipartite."""
 
     primary: str
     tags: tuple[str, ...]
-    bipartite_parts: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    path_endpoints: tuple[int, int] | None = None
-
-    @property
-    def part_sizes(self) -> tuple[int, int] | None:
-        if self.bipartite_parts is None:
-            return None
-        a, b = self.bipartite_parts
-        return (len(a), len(b))
-
-
-def _bipartition(g: Graph) -> tuple[list[int], list[int]] | None:
-    """Two-color a connected graph; None if an odd cycle exists."""
-    n = g.num_vertices
-    color = [-1] * n
-    color[0] = 0
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in g.adjacency[u]:
-            if color[w] == -1:
-                color[w] = 1 - color[u]
-                stack.append(w)
-            elif color[w] == color[u]:
-                return None
-    return ([v for v in range(n) if color[v] == 0], [v for v in range(n) if color[v] == 1])
+    part_sizes: tuple[int, int] | None = None
 
 
 def classify(g: Graph) -> GraphClass:
@@ -205,8 +182,7 @@ def classify(g: Graph) -> GraphClass:
     if not is_connected(g):
         return GraphClass("Disconnected", ("Disconnected",))
     tags: list[str] = []
-    parts = None
-    endpoints = None
+    part_sizes = None
 
     is_tree = m == n - 1
     degrees = [g.degree(v) for v in range(n)]
@@ -216,26 +192,24 @@ def classify(g: Graph) -> GraphClass:
 
     if is_path:
         tags.append("Path")
-        if n >= 2:
-            ends = [v for v in range(n) if degrees[v] == 1]
-            endpoints = (min(ends), max(ends))
     if is_star:
         tags.append("Star")
     if is_complete:
         tags.append("Complete")
     if n >= 2:
-        two_color = _bipartition(g)
-        if two_color is not None:
-            a, b = two_color
-            if a and b and m == len(a) * len(b):
-                tags.append("CompleteBipartite")
-                if (len(a), sorted(a)) > (len(b), sorted(b)):
-                    a, b = b, a
-                parts = (tuple(a), tuple(b))
+        # connected K_{A,B} with 0 in A has B = N(0); conversely, all edges
+        # crossing between A and B and m = |A||B| make every cross pair an edge
+        in_b = [False] * n
+        for v in g.adjacency[0]:
+            in_b[v] = True
+        b = degrees[0]
+        if m == (n - b) * b and all(in_b[u] != in_b[v] for u, v in g.edges):
+            tags.append("CompleteBipartite")
+            part_sizes = (min(b, n - b), max(b, n - b))
     if is_tree:
         tags.append("Tree")
     tags.append("GeneralConnected")
-    return GraphClass(tags[0], tuple(tags), parts, endpoints)
+    return GraphClass(tags[0], tuple(tags), part_sizes)
 
 
 def bfs_distances(g: Graph, source: int) -> tuple[list[int], list[int]]:
@@ -324,9 +298,6 @@ def all_labeled_trees(n: int) -> Iterator[Graph]:
     if n == 1:
         yield Graph.from_edges(1, [])
         return
-    if n == 2:
-        yield Graph.from_edges(2, [(0, 1)])
-        return
     for seq in itertools.product(range(n), repeat=n - 2):
         yield prufer_decode(seq, n)
 
@@ -399,8 +370,6 @@ def random_tree(n: int, seed: int) -> Graph:
         raise ValueError(f"random_tree requires n >= 1, got {n}")
     if n == 1:
         return Graph.from_edges(1, [])
-    if n == 2:
-        return Graph.from_edges(2, [(0, 1)])
     rng = SplitMix64(seed & _SM64_MASK)
     seq = [rng.next_below(n) for _ in range(n - 2)]
     return prufer_decode(seq, n)

@@ -177,6 +177,8 @@ def build_subset_table(g: Graph, max_edges: int = DEFAULT_MAX_DP_EDGES) -> Subse
 
 def rooted_counts_from_table(table: SubsetTable, g: Graph, v: int) -> int:
     """Orderings whose first edge is incident to v: the DP rerun, seeded at v."""
+    if not 0 <= v < g.num_vertices:
+        raise ValueError(f"vertex {v} out of range")
     return _shelling_dp(g, v)[0]
 
 

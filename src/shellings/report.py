@@ -54,9 +54,6 @@ class Report:
     def add_check(self, name: str, ok: bool, detail: str = "") -> None:
         self.cross_checks.append(CrossCheck(name, "pass" if ok else "fail", detail))
 
-    def add_skip(self, name: str, detail: str = "") -> None:
-        self.cross_checks.append(CrossCheck(name, "skipped", detail))
-
     @property
     def all_passed(self) -> bool:
         return all(c.status != "fail" for c in self.cross_checks)

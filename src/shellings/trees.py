@@ -10,6 +10,10 @@ endpoints).  ``tree_count`` gets that sum without building any root's
 count: it sums the ratio products bottom-up as one fraction, merging
 children pairwise and composing each heavy path's affine steps by binary
 splitting, and finishes with one exact division.
+
+``root_tree`` is also the tree check.  Its BFS refuses, with
+NotATreeError, any graph that is not a tree, so the functions here and in
+``bounds`` that start from a rooting need no check of their own.
 """
 
 from __future__ import annotations
@@ -39,9 +43,12 @@ class RootedTree:
 
 
 def root_tree(g: Graph, v: int) -> RootedTree:
-    if not g.is_tree():
-        raise NotATreeError("root_tree requires a tree")
+    """Root g at v, or raise NotATreeError when g is not a tree: a graph
+    with n - 1 edges is a tree exactly when the BFS from v reaches all n
+    vertices."""
     n = g.num_vertices
+    if g.num_edges != n - 1:
+        raise NotATreeError(f"root_tree requires a tree; {g.num_edges} edges on {n} vertices")
     if not 0 <= v < n:
         raise ValueError(f"vertex {v} out of range")
     parent = [-1] * n
@@ -52,6 +59,8 @@ def root_tree(g: Graph, v: int) -> RootedTree:
             if parent[w] == -1 and w != v:
                 parent[w] = u
                 order.append(w)
+    if len(order) < n:
+        raise NotATreeError("root_tree requires a tree; the graph is disconnected")
     size = [1] * n
     height = [0] * n
     for u in reversed(order[1:]):
@@ -107,8 +116,6 @@ def all_root_counts(g: Graph, seed_root: int = 0) -> list[Nat]:
     by its complement; every intermediate value is an integer and the
     division is checked to be exact.
     """
-    if not g.is_tree():
-        raise NotATreeError("all_root_counts requires a tree")
     n = g.num_vertices
     rt = root_tree(g, seed_root)
     counts: list[Nat] = [0] * n
@@ -160,12 +167,10 @@ def tree_count(g: Graph) -> Nat:
     per-root count is ever built.  The single-vertex tree has one (empty)
     shelling and no first edge to halve over, so it is its own base case.
     """
-    if not g.is_tree():
-        raise NotATreeError("tree_count requires a tree")
-    n = g.num_vertices
-    if n <= 1:
-        return 1
     rt = root_tree(g, 0)
+    n = g.num_vertices
+    if n == 1:
+        return 1
     size, parent = rt.subtree_size, rt.parent
     heavy = [-1] * n
     for u in rt.order[1:]:

@@ -24,6 +24,7 @@ from shellings.graphs import (
     classify,
     cycle_graph,
     path_graph,
+    prufer_encode,
     random_tree,
     star_graph,
 )
@@ -101,6 +102,42 @@ def test_degree_equality_prediction_matches_classify():
 def test_degree_lower_bound_rejects_non_tree():
     with pytest.raises(NotATreeError):
         degree_lower_bound(cycle_graph(4))
+
+
+# C_4 has one edge too many; the triangle plus an isolated vertex has n - 1
+# edges but two components; the 0-vertex graph has no tree at all.
+NON_TREES = [
+    cycle_graph(4),
+    Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)]),
+    Graph.from_edges(0, []),
+]
+TREE_ONLY = [
+    lambda g: root_tree(g, 0),
+    all_root_counts,
+    tree_count,
+    lambda g: weight_bound_coefficient(g, 0),
+    longest_path,
+    lambda g: push_branch_from_root(g, 0),
+    pull_branch_toward_middle,
+    degree_lower_bound,
+    bound_report,
+    prufer_encode,
+]
+
+
+@pytest.mark.parametrize("g", NON_TREES, ids=["C4", "triangle_plus_isolated", "empty"])
+@pytest.mark.parametrize("fn", TREE_ONLY, ids=[
+    "root_tree", "all_root_counts", "tree_count", "weight_bound_coefficient", "longest_path",
+    "push_branch_from_root", "pull_branch_toward_middle", "degree_lower_bound",
+    "bound_report", "prufer_encode"])
+def test_tree_functions_refuse_non_trees(fn, g):
+    with pytest.raises(NotATreeError):
+        fn(g)
+
+
+@pytest.mark.parametrize("g", NON_TREES, ids=["C4", "triangle_plus_isolated", "empty"])
+def test_mid_spider_shape_false_on_non_trees(g):
+    assert is_mid_spider_shape(g) is False
 
 
 @pytest.mark.parametrize(

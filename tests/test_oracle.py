@@ -55,12 +55,20 @@ def test_rooted_count_star_center():
 def test_rooted_count_bad_vertex():
     with pytest.raises(ValueError):
         count_rooted_shellings_dp(path_graph(3), 5)
+    p4 = path_graph(4)
+    table = build_subset_table(p4)
+    for v in (9, -1):
+        with pytest.raises(ValueError):
+            rooted_counts_from_table(table, p4, v)
 
 
 def test_dp_guard():
     with pytest.raises(GuardExceeded):
         count_shellings_dp(complete_graph(7), max_edges=20)
     assert count_shellings_dp(complete_graph(4), max_edges=6) == 576
+    # a disconnected graph has no shelling, whatever its size
+    two_k7 = Graph.from_edges(14, [(u + s, v + s) for s in (0, 7) for u, v in complete_graph(7).edges])
+    assert count_shellings_dp(two_k7, max_edges=20) == 0
 
 
 def test_enumerate_basics():
