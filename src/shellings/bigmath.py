@@ -106,7 +106,7 @@ def _pochhammer_ratio(p: Fraction, q: Fraction) -> Fraction:
 class GammaProduct:
     """A formal product coeff * prod Gamma(a) / prod Gamma(b), all a, b > 0.
 
-    Immutable; combine with ``times``/``over`` and collapse with
+    Immutable; combine with ``times`` and collapse with
     :func:`gamma_product_reduce`.
     """
 
@@ -130,24 +130,6 @@ class GammaProduct:
             self.numer + other.numer,
             self.denom + other.denom,
         )
-
-    def over(self, other: "GammaProduct") -> "GammaProduct":
-        if other.coeff == 0:
-            raise ZeroDivisionError("division by GammaProduct with zero coefficient")
-        return GammaProduct(
-            self.coeff / other.coeff,
-            self.numer + other.denom,
-            self.denom + other.numer,
-        )
-
-    def scaled(self, c: RatLike) -> "GammaProduct":
-        return GammaProduct(self.coeff * Fraction(c), self.numer, self.denom)
-
-    def equals(self, other: "GammaProduct") -> bool:
-        """Exact equality: the quotient must reduce to the rational 1."""
-        if self.coeff == 0 or other.coeff == 0:
-            return self.coeff == other.coeff
-        return gamma_product_reduce(self.over(other)) == 1
 
 
 def gamma_product_reduce(gp: GammaProduct) -> Rat | GammaProduct:

@@ -5,17 +5,22 @@ The diameter bound is evaluated exactly as printed (`diameter_upper_bound_printe
 and side by side with the exact count of the extremal mid-spider shape;
 desk evaluation shows the printed formula sits a factor above the extremal
 count, and both values are surfaced rather than silently reconciled.
+
+``bound_report`` roots its tree once: that rooting is the tree check and
+supplies every root's count, every root's height, and the exact count as
+half their sum.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .bigmath import Nat, Rat, binomial, factorial
-from .errors import NotATreeError
+from .errors import ExactnessError, NotATreeError
 from .graphs import Graph
-from .trees import RootedTree, eccentricities, root_tree, tree_count
+from .trees import RootedTree, all_root_counts, eccentricities, root_tree, tree_count
 
 
 def degree_lower_bound(g: Graph) -> tuple[Nat, bool]:
@@ -243,7 +248,11 @@ def is_mid_spider_shape(g: Graph) -> bool:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All bound values for one tree, side by side with the exact count."""
+    """All bound values for one tree, side by side with the exact count.
+
+    ``root_counts[v]`` and ``heights[v]`` are the count and height of the
+    tree rooted at v.
+    """
 
     exact: Nat
     degree_lower: Nat
@@ -252,24 +261,35 @@ class BoundReport:
     diameter_upper_printed: Rat
     mid_spider_exact: Nat
     per_root_weight_bounds: tuple[Nat, ...]
+    root_counts: tuple[Nat, ...]
+    heights: tuple[int, ...]
 
     @property
     def printed_vs_extremal_gap(self) -> Rat:
         return Fraction(self.diameter_upper_printed, self.mid_spider_exact)
 
 
+@functools.cache
+def _diameter_bounds(n: int, diameter: int) -> tuple[Rat, Nat]:
+    """(printed diameter bound, mid-spider count) for n vertices, diameter l."""
+    spider_exact = tree_count(mid_spider(n, diameter)) if diameter >= 2 else 1
+    return diameter_upper_bound_printed(n, diameter), spider_exact
+
+
 def bound_report(g: Graph) -> BoundReport:
-    if not g.is_tree() or g.num_vertices < 2:
-        raise NotATreeError("bound_report requires a tree on >= 2 vertices")
+    """Every bound for the tree g, from one rooting of g at vertex 0."""
     n = g.num_vertices
-    exact = tree_count(g)
+    if n < 2:
+        raise NotATreeError("bound_report requires a tree on >= 2 vertices")
+    rt = root_tree(g, 0)
+    roots = all_root_counts(rt)
+    exact, r = divmod(sum(roots), 2)
+    if r:
+        raise ExactnessError("sum of rooted counts must be even")
     lower, predicted = degree_lower_bound(g)
-    heights = eccentricities(root_tree(g, 0))
+    heights = eccentricities(rt)
     diameter = max(heights)
-    printed = diameter_upper_bound_printed(n, diameter)
-    if diameter >= 2:
-        spider_exact = tree_count(mid_spider(n, diameter))
-    else:
-        spider_exact = 1
+    printed, spider_exact = _diameter_bounds(n, diameter)
     coeffs = tuple(weight_bound_coefficients(n, heights))
-    return BoundReport(exact, lower, predicted, diameter, printed, spider_exact, coeffs)
+    return BoundReport(exact, lower, predicted, diameter, printed, spider_exact, coeffs,
+                       tuple(roots), tuple(heights))

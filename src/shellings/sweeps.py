@@ -14,15 +14,13 @@ from fractions import Fraction
 
 from . import closed_forms, identities
 from .bounds import (
-    degree_lower_bound,
+    bound_report,
     diameter_upper_bound_printed,
     double_broom,
     is_mid_spider_shape,
     longest_descending_path,
-    mid_spider,
     pull_branch_toward_middle,
     push_branch_from_root,
-    weight_bound_coefficients,
 )
 from .graphs import (
     Graph,
@@ -138,7 +136,8 @@ def sweep_trees(max_n: int = DEFAULT_TREE_SWEEP_N) -> list[CheckOutcome]:
             dp = table.total
             total = tree_count(g)
             total_vs_dp.record(total == dp, f"{g.edges}: {total} vs {dp}")
-            roots = all_root_counts(g)
+            rt = root_tree(g, 0)
+            roots = all_root_counts(rt)
             if n >= 2:
                 half_sum.record(sum(roots) == 2 * dp, str(g.edges))
                 for v in range(n):
@@ -149,9 +148,10 @@ def sweep_trees(max_n: int = DEFAULT_TREE_SWEEP_N) -> list[CheckOutcome]:
                     )
             if 2 <= n <= 6:
                 for seed in (n // 2, n - 1, max(0, n - 3)):
-                    seed_free.record(all_root_counts(g, seed) == roots, f"{g.edges} seed {seed}")
+                    seed_free.record(
+                        all_root_counts(root_tree(g, seed)) == roots, f"{g.edges} seed {seed}"
+                    )
                 # integer form of the adjacent-root ratio, per edge
-                rt = root_tree(g, 0)
                 size = rt.subtree_size
                 for u in rt.order[1:]:
                     w = rt.parent[u]
@@ -164,7 +164,7 @@ def sweep_trees(max_n: int = DEFAULT_TREE_SWEEP_N) -> list[CheckOutcome]:
     for n in range(2, 21):
         g = path_graph(n)
         path_anchor.record(tree_count(g) == closed_forms.path_count(n), f"n={n}")
-        roots = all_root_counts(g)
+        roots = all_root_counts(root_tree(g, 0))
         path_roots.record(
             all(roots[i - 1] == closed_forms.rooted_path_count(n, i) for i in range(1, n + 1)),
             f"n={n}",
@@ -189,14 +189,14 @@ def sweep_trees(max_n: int = DEFAULT_TREE_SWEEP_N) -> list[CheckOutcome]:
 # bounds and transforms
 
 
-def _weight_sum_not_decreased(gr: list[int], h: Graph, v: int) -> bool:
+def _weight_sum_not_decreased(gr: list[int], hr: list[int], v: int) -> bool:
     """sum W(u) comparison via integer cross-multiplication.
 
-    ``gr`` holds the root counts of the tree g that h came from.
+    ``gr`` and ``hr`` hold the root counts of a tree g and of the tree h
+    one transform step made from it.
     sum_u F(T_u)/F(T_v) = 2 F(T)/F(T_v), so the weight sums compare as
     F(h) * F(g_v) >= F(g) * F(h_v).
     """
-    hr = all_root_counts(h)
     return sum(hr) * gr[v] >= sum(gr) * hr[v]
 
 
@@ -211,45 +211,43 @@ def sweep_bounds(max_n: int = DEFAULT_BOUND_SWEEP_N) -> list[CheckOutcome]:
     pull_mono = _Check("pull_step_count_not_decreased")
     fixpoints = _Check("transform_fixpoints_reached")
 
-    spider_cache: dict[tuple[int, int], int] = {}
-    printed_cache: dict[tuple[int, int], Fraction] = {}
+    gaps: dict[tuple[int, int], Fraction] = {}
     for n in range(2, max_n + 1):
         exhaustive_roots = n <= 6
         for g in all_labeled_trees(n):
-            roots = all_root_counts(g)
-            count = sum(roots) // 2
-            bound, predicted = degree_lower_bound(g)
+            br = bound_report(g)
+            count, roots, heights = br.exact, br.root_counts, br.heights
+            bound, predicted = br.degree_lower, br.degree_equality_predicted
             lower.record(bound <= count, f"{g.edges}: {bound} > {count}")
             lower_eq.record((bound == count) == predicted, str(g.edges))
 
-            heights = eccentricities(root_tree(g, 0))
-            for v, coeff in enumerate(weight_bound_coefficients(n, heights)):
+            for v, coeff in enumerate(br.per_root_weight_bounds):
                 weight.record(count <= coeff * roots[v], f"{g.edges} root {v}")
 
-            ell = max(heights)
-            key = (n, ell)
-            if key not in spider_cache:
-                spider_cache[key] = tree_count(mid_spider(n, ell)) if ell >= 2 else 1
-                printed_cache[key] = diameter_upper_bound_printed(n, ell)
-            spider_bound.record(count <= spider_cache[key], f"{g.edges}")
-            printed_bound.record(count <= printed_cache[key], f"{g.edges}")
+            ell = br.diameter
+            gaps[(n, ell)] = br.printed_vs_extremal_gap
+            spider_bound.record(count <= br.mid_spider_exact, f"{g.edges}")
+            printed_bound.record(count <= br.diameter_upper_printed, f"{g.edges}")
 
             for v in range(n) if exhaustive_roots else (0,):
                 pushed = push_branch_from_root(g, v)
                 if pushed is None:
                     continue
+                pr = root_tree(pushed, v)
                 push_mono.record(
-                    _weight_sum_not_decreased(roots, pushed, v), f"{g.edges} root {v}"
+                    _weight_sum_not_decreased(roots, all_root_counts(pr), v),
+                    f"{g.edges} root {v}",
                 )
-                depth_after = root_tree(pushed, v).height[v]
                 push_shape.record(
-                    pushed.num_vertices == n and heights[v] == depth_after,
+                    pushed.num_vertices == n and heights[v] == pr.height[v],
                     f"{g.edges} root {v}",
                 )
 
             pulled = pull_branch_toward_middle(g)
             if pulled is not None:
-                pull_mono.record(sum(all_root_counts(pulled)) >= sum(roots), f"{g.edges}")
+                pull_mono.record(
+                    sum(all_root_counts(root_tree(pulled, 0))) >= sum(roots), f"{g.edges}"
+                )
 
             if n <= 6:
                 cur, steps = g, 0
@@ -287,13 +285,10 @@ def sweep_bounds(max_n: int = DEFAULT_BOUND_SWEEP_N) -> list[CheckOutcome]:
     pins.record(tree_count(path_graph(5)) == 8, "(5,4) exact")
 
     # the gap is recorded, not asserted: the printed formula is reported as is
-    gaps = sorted(
-        (key, printed_cache[key] / spider_cache[key]) for key in spider_cache
-    )
     gap_note = CheckOutcome(
         "printed_vs_extremal_gap_observed",
         True,
-        ", ".join(f"n={n} l={l}: {g}" for (n, l), g in gaps),
+        ", ".join(f"n={n} l={l}: {g}" for (n, l), g in sorted(gaps.items())),
     )
 
     brooms = _Check("double_broom_family_closed_forms")

@@ -4,16 +4,19 @@ Rooting a tree at v turns counting into a hook product: the number of
 shellings whose first edge touches v is n! divided by the product of all
 subtree sizes.  Adjacent roots differ by the simple ratio
 F(T_v)/F(T_u) = |T_u(v)| / (n - |T_u(v)|), so one hook evaluation plus a
-breadth-first propagation yields every root's count (``all_root_counts``).
-The total is half the sum over roots (each shelling's first edge has two
-endpoints).  ``tree_count`` gets that sum without building any root's
-count: it sums the ratio products bottom-up as one fraction, merging
-children pairwise and composing each heavy path's affine steps by binary
-splitting, and finishes with one exact division.
+breadth-first propagation along the same rooting yields every root's
+count (``all_root_counts``).  The total is half the sum over roots (each
+shelling's first edge has two endpoints).  ``tree_count`` gets that sum
+without building any root's count: it sums the ratio products bottom-up
+as one fraction, merging children pairwise and composing each heavy
+path's affine steps by binary splitting, and finishes with one exact
+division.
 
 ``root_tree`` is also the tree check.  Its BFS refuses, with
-NotATreeError, any graph that is not a tree, so the functions here and in
-``bounds`` that start from a rooting need no check of their own.
+NotATreeError, any graph that is not a tree.  ``hook_count``,
+``all_root_counts`` and ``eccentricities`` take a ``RootedTree``, so a
+caller roots once and reads subtree sizes, heights, every root's count
+and every root's height from that one rooting.
 """
 
 from __future__ import annotations
@@ -109,18 +112,18 @@ def hook_count(rt: RootedTree) -> Nat:
     return q
 
 
-def all_root_counts(g: Graph, seed_root: int = 0) -> list[Nat]:
-    """F(T_v) for every vertex v, by one hook count plus ratio propagation.
+def all_root_counts(rt: RootedTree) -> list[Nat]:
+    """F(T_v) for every vertex v, by one hook count at ``rt.root`` plus
+    ratio propagation along ``rt``.
 
     Each propagation step multiplies by the child subtree size and divides
     by its complement; every intermediate value is an integer and the
     division is checked to be exact.
     """
-    n = g.num_vertices
-    rt = root_tree(g, seed_root)
-    counts: list[Nat] = [0] * n
-    counts[seed_root] = hook_count(rt)
     size = rt.subtree_size
+    n = len(size)
+    counts: list[Nat] = [0] * n
+    counts[rt.root] = hook_count(rt)
     for u in rt.order[1:]:
         w = rt.parent[u]
         q, r = divmod(counts[w] * size[u], n - size[u])

@@ -21,7 +21,7 @@ from shellings.closed_forms import (
 )
 from shellings.graphs import complete_graph, path_graph, star_graph
 from shellings.oracle import count_shellings_dp
-from shellings.trees import all_root_counts, tree_count
+from shellings.trees import all_root_counts, root_tree, tree_count
 
 
 def _timed_outcomes(fn, *args):
@@ -91,7 +91,7 @@ def test_c04_tree_formulas_vs_dp_exhaustive(tree_sweep):
 def test_c05_path_anchors(tree_sweep):
     direct = all(
         tree_count(path_graph(n)) == path_count(n) == 2 ** (n - 2)
-        and all_root_counts(path_graph(n))
+        and all_root_counts(root_tree(path_graph(n), 0))
         == [rooted_path_count(n, i) for i in range(1, n + 1)]
         for n in range(2, 21)
     )
@@ -116,9 +116,9 @@ def test_c06_degree_lower_bound(bound_sweep):
 
 def test_c07_weight_bound_every_root(bound_sweep):
     star = star_graph(8)
-    tight_star = tree_count(star) == 1 * all_root_counts(star)[0]
+    tight_star = tree_count(star) == 1 * all_root_counts(root_tree(star, 0))[0]
     path = path_graph(8)
-    tight_path = tree_count(path) == 2**6 * all_root_counts(path)[0]
+    tight_path = tree_count(path) == 2**6 * all_root_counts(root_tree(path, 0))[0]
     _require(7, "per-root weight bound on all trees n <= 8, tight on star center and path end",
              bound_sweep, "weight_bound_holds_every_root", extra_ok=tight_star and tight_path)
 

@@ -133,11 +133,3 @@ def test_gamma_reduce_order_independent(rnd):
     rnd.shuffle(denom)
     shuffled = gamma_product_reduce(GammaProduct(Fraction(5, 7), tuple(numer), tuple(denom)))
     assert shuffled == expected
-
-
-def test_gamma_product_equality_via_quotient():
-    a = GammaProduct(Fraction(2), (Fraction(9, 2),), (Fraction(5, 2),))
-    b = GammaProduct(Fraction(35, 2), (Fraction(5, 2),), (Fraction(5, 2),))
-    # Gamma(9/2)/Gamma(5/2) = (5/2)(7/2) = 35/4, so both sides equal 35/2
-    assert a.equals(b)
-    assert not a.equals(GammaProduct(Fraction(1)))

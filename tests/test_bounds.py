@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from shellings import bounds
 from shellings.bounds import (
     bound_report,
     degree_lower_bound,
@@ -16,7 +17,7 @@ from shellings.bounds import (
     weight_bound_coefficient,
 )
 from shellings.bigmath import binomial
-from shellings.errors import NotATreeError
+from shellings.errors import ExactnessError, NotATreeError
 from shellings.graphs import (
     Graph,
     all_labeled_trees,
@@ -113,7 +114,7 @@ NON_TREES = [
 ]
 TREE_ONLY = [
     lambda g: root_tree(g, 0),
-    all_root_counts,
+    lambda g: all_root_counts(root_tree(g, 0)),
     tree_count,
     lambda g: weight_bound_coefficient(g, 0),
     longest_path,
@@ -179,11 +180,13 @@ def test_mid_spider_shape_detection():
 def test_weight_bound_coefficient_anchors():
     star = star_graph(6)
     assert weight_bound_coefficient(star, 0) == 1
-    assert tree_count(star) == all_root_counts(star)[0]  # bound tight at the center
+    # bound tight at the center
+    assert tree_count(star) == all_root_counts(root_tree(star, 0))[0]
     n = 6
     path = path_graph(n)
     assert weight_bound_coefficient(path, 0) == 2 ** (n - 2)
-    assert tree_count(path) == 2 ** (n - 2) * all_root_counts(path)[0]  # tight at the end
+    # tight at the end
+    assert tree_count(path) == 2 ** (n - 2) * all_root_counts(root_tree(path, 0))[0]
     for v in range(n):
         assert weight_bound_coefficient(path, v) <= 2 ** (n - 2)
     for v in (-1, n):
@@ -245,7 +248,8 @@ def test_push_fixpoint_collects_branches_at_second_to_last():
         if nxt is None:
             break
         # sum_u W(u) = sum(roots) / roots[0]; compare by cross-multiplication
-        cur_roots, nxt_roots = all_root_counts(cur), all_root_counts(nxt)
+        cur_roots = all_root_counts(root_tree(cur, 0))
+        nxt_roots = all_root_counts(root_tree(nxt, 0))
         assert sum(nxt_roots) * cur_roots[0] >= sum(cur_roots) * nxt_roots[0]
         cur, steps = nxt, steps + 1
         assert steps < 30
@@ -306,9 +310,21 @@ def test_bound_report_fields():
     assert br.mid_spider_exact == 8
     assert br.printed_vs_extremal_gap == Fraction(2)
     assert br.per_root_weight_bounds == (8, 7, 4, 7, 8)
+    assert br.root_counts == (1, 4, 6, 4, 1)
+    assert br.heights == (4, 3, 2, 3, 4)
     single_edge = bound_report(path_graph(2))
     assert single_edge.mid_spider_exact == 1
     assert single_edge.diameter_upper_printed == 2
+
+
+def test_bound_report_refuses_an_odd_root_sum(monkeypatch):
+    # star_graph(4): the root counts 6, 2, 2, 2 sum to 12; one too many at
+    # the root makes the sum 13
+    real = bounds.all_root_counts
+    monkeypatch.setattr(bounds, "all_root_counts",
+                        lambda rt: [c + (v == rt.root) for v, c in enumerate(real(rt))])
+    with pytest.raises(ExactnessError, match="even"):
+        bound_report(star_graph(4))
 
 
 def test_sweep_bounds_check_names_and_case_counts():

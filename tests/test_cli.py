@@ -223,6 +223,39 @@ def test_tree_roots_rejects_cycle(tmp_path, capsys):
     assert code == 2
 
 
+# C_3 has one edge too many; the triangle plus an isolated vertex has n - 1
+# edges but two components; a single vertex has no edge to bound
+@pytest.mark.parametrize("command,text", [
+    ("bounds", "0 1\n1 2\n0 2\n"),
+    ("bounds", "n 4\n0 1\n1 2\n0 2\n"),
+    ("bounds", "n 1\n"),
+    ("tree-roots", "n 4\n0 1\n1 2\n0 2\n"),
+], ids=["bounds-C3", "bounds-triangle-plus-isolated", "bounds-one-vertex",
+        "tree-roots-triangle-plus-isolated"])
+def test_tree_commands_refuse_non_trees(tmp_path, capsys, command, text):
+    path = write_graph(tmp_path, "g.txt", text)
+    code, out, err = run(capsys, command, path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,expected", [("bounds", 2), ("tree-roots", 2), ("count", 1)])
+def test_tree_commands_root_the_input_once(tmp_path, capsys, monkeypatch, command, expected):
+    from shellings import bounds, cli, graphs, trees
+
+    path = write_graph(tmp_path, "t40.txt", graphs.random_tree(40, 3).to_edge_list_text())
+    rootings, root = [], trees.root_tree
+    for module in (trees, bounds, cli):
+        monkeypatch.setattr(module, "root_tree", lambda g, v: rootings.append(v) or root(g, v))
+    # the mid-spider count is cached per (n, diameter); start from an empty cache
+    bounds._diameter_bounds.cache_clear()
+    code, _, _ = run(capsys, command, path)
+    assert code == 0
+    # bounds: the input and the mid-spider; tree-roots: the root counts and tree_count
+    assert len(rootings) == expected
+
+
 def test_formula_commands(capsys):
     code, doc = run_json(capsys, "formula", "kmn", "2", "3")
     assert code == 0 and doc["results"]["complete_bipartite"] == "360"

@@ -180,7 +180,7 @@ def test_tree_work_checks_connectivity_once_per_graph(monkeypatch):
     monkeypatch.setattr(graphs, "is_connected", counting)
     g = random_tree(12, 3)
     tree_count(g)
-    all_root_counts(g)
+    all_root_counts(root_tree(g, 0))
     # the rooting BFS is the tree check: no separate connectivity pass
     assert calls == []
 

@@ -22,7 +22,7 @@ from shellings.oracle import (
     enumerate_shellings,
     rooted_counts_from_table,
 )
-from shellings.trees import all_root_counts, tree_count
+from shellings.trees import all_root_counts, root_tree, tree_count
 
 
 def test_small_anchor_counts():
@@ -231,7 +231,7 @@ def test_dp_matches_enumeration_on_random_connected_graphs(g):
         assert rooted_counts_from_table(table, g, v) == expected
         rooted.append(expected)
     if g.is_tree():
-        assert all_root_counts(g) == rooted
+        assert all_root_counts(root_tree(g, 0)) == rooted
         assert tree_count(g) == len(orders)
 
 
@@ -340,6 +340,6 @@ def test_dp_matches_subset_reference_on_dense_7_vertex_graphs(extra):
 def test_hook_formula_matches_dp_on_25_edge_trees(seed):
     g = random_tree(26, seed)
     assert count_shellings_dp(g, max_edges=25) == tree_count(g)
-    roots = all_root_counts(g)
+    roots = all_root_counts(root_tree(g, 0))
     for v in (0, 13, 25):
         assert count_rooted_shellings_dp(g, v, max_edges=25) == roots[v]

@@ -68,15 +68,15 @@ def test_hook_count_examples():
 
 
 def test_all_root_counts_examples():
-    assert all_root_counts(path_graph(5)) == [1, 4, 6, 4, 1]
-    assert all_root_counts(DOUBLE_STAR) == [8, 12, 2, 3, 3]
-    assert all_root_counts(star_graph(4)) == [6, 2, 2, 2]
-    assert all_root_counts(star_graph(5)) == [24, 6, 6, 6, 6]
+    assert all_root_counts(root_tree(path_graph(5), 0)) == [1, 4, 6, 4, 1]
+    assert all_root_counts(root_tree(DOUBLE_STAR, 0)) == [8, 12, 2, 3, 3]
+    assert all_root_counts(root_tree(star_graph(4), 0)) == [6, 2, 2, 2]
+    assert all_root_counts(root_tree(star_graph(5), 0)) == [24, 6, 6, 6, 6]
 
 
 def test_all_root_counts_seed_independent():
     for seed in range(5):
-        assert all_root_counts(DOUBLE_STAR, seed_root=seed) == [8, 12, 2, 3, 3]
+        assert all_root_counts(root_tree(DOUBLE_STAR, seed)) == [8, 12, 2, 3, 3]
 
 
 def test_tree_count_examples():
@@ -95,10 +95,10 @@ def test_double_star_closed_form():
 
 def test_weights_examples():
     # the weight W(u) for root v is the root-count ratio F(T_u) / F(T_v)
-    roots = all_root_counts(path_graph(4))
+    roots = all_root_counts(root_tree(path_graph(4), 0))
     assert [Fraction(r, roots[0]) for r in roots] == [1, 3, 3, 1]
     assert Fraction(sum(roots), roots[0]) == 8
-    roots = all_root_counts(DOUBLE_STAR)
+    roots = all_root_counts(root_tree(DOUBLE_STAR, 0))
     assert [Fraction(r, roots[1]) for r in roots] == [
         Fraction(2, 3), 1, Fraction(1, 6), Fraction(1, 4), Fraction(1, 4)
     ]
@@ -107,8 +107,8 @@ def test_weights_examples():
 def test_adjacent_root_ratio_is_integral_identity():
     g = DOUBLE_STAR
     n = g.num_vertices
-    roots = all_root_counts(g)
     rt = root_tree(g, 0)
+    roots = all_root_counts(rt)
     for u in rt.order[1:]:
         w = rt.parent[u]
         assert roots[u] * (n - rt.subtree_size[u]) == roots[w] * rt.subtree_size[u]
@@ -119,7 +119,7 @@ def test_tree_formulas_match_dp_exhaustively_small():
         for g in all_labeled_trees(n):
             dp = count_shellings_dp(g)
             assert tree_count(g) == dp
-            roots = all_root_counts(g)
+            roots = all_root_counts(root_tree(g, 0))
             if n >= 2:
                 table = build_subset_table(g)
                 for v in range(n):
@@ -133,7 +133,7 @@ def test_weights_match_root_count_ratios():
     for n in range(2, 6):
         for seed in range(3):
             g = random_tree(n, seed)
-            roots = all_root_counts(g)
+            roots = all_root_counts(root_tree(g, 0))
             for v in range(n):
                 # W(u) multiplies the edge ratios size/(n - size) down from v
                 rt = root_tree(g, v)
@@ -149,7 +149,7 @@ def test_weights_match_root_count_ratios():
 
 def _root_sum_total(g):
     """The total as half the sum of every root's count."""
-    return sum(all_root_counts(g)) // 2 if g.num_vertices > 1 else 1
+    return sum(all_root_counts(root_tree(g, 0))) // 2 if g.num_vertices > 1 else 1
 
 
 def _relabeled(g, seed):
