@@ -147,7 +147,8 @@ def _log10_result(family: str, params: list[int]) -> float:
             n = params[0]
             ln = ((n - 2) * math.log(2) + lg(n * (n - 1) // 2 + 1)
                   - lg(2 * n - 1) + lg(n) + lg(n + 1))
-        elif family == "kmn" and min(params) >= 1:
+        elif family in ("kmn", "stanley") and min(params) >= 1:
+            # the summation's value is F(K_{m,n})
             m, n = params
             ln = lg(m + 1) + lg(n + 1) + lg(m * n + 1) - lg(m + n)
         elif family == "path" and params[0] >= 2:
@@ -310,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification sweep")
     p_verify.add_argument("suite", choices=list(sweeps.SUITES))
     p_verify.add_argument("--max-n", type=int, default=None,
-                          help="sweep size (defaults: trees 7, bounds 8)")
+                          help="sweep size, 2 to 9 (defaults: trees 7, bounds 8)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="emit an edge-list file")

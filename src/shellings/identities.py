@@ -31,17 +31,13 @@ class IdentityCase:
 
     name: str
     params: dict = field(compare=False)
-    lhs: Rat | GammaProduct
-    rhs: Rat | GammaProduct
+    lhs: Rat
+    rhs: Rat
     holds: bool
 
 
-def _case(name: str, params: dict, lhs, rhs) -> IdentityCase:
-    if isinstance(lhs, GammaProduct) or isinstance(rhs, GammaProduct):
-        holds = False
-    else:
-        holds = lhs == rhs
-    return IdentityCase(name, params, lhs, rhs, holds)
+def _case(name: str, params: dict, lhs: Rat, rhs: Rat) -> IdentityCase:
+    return IdentityCase(name, params, lhs, rhs, lhs == rhs)
 
 
 def verify_story(x: int, y: int, z, w) -> IdentityCase:

@@ -2,8 +2,10 @@
 small-case grids, with the DP oracle as ground truth.
 
 Each sweep returns CheckOutcome records (one per named property, with case
-counts in the detail string); the CLI `verify` command turns them into a
-report and an exit code.
+counts in the detail string), in the order it opened its checks; the CLI
+`verify` command turns them into a report and an exit code.  A case's
+failure text is formatted only for the few failures a check keeps, so
+passing cases format nothing.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from .bounds import (
     pull_branch_toward_middle,
     push_branch_from_root,
 )
+from .errors import GuardExceeded
 from .graphs import (
+    MAX_TREE_ENUM_N,
     Graph,
     all_labeled_trees,
     complete_bipartite_graph,
@@ -61,10 +65,11 @@ class _Check:
         self.cases = 0
         self.failures: list[str] = []
 
-    def record(self, ok: bool, context: str = "") -> None:
+    def record(self, ok: bool, fmt: str = "", *args) -> None:
+        """Count one case; a kept failure carries ``fmt.format(*args)``."""
         self.cases += 1
         if not ok and len(self.failures) < 5:
-            self.failures.append(context)
+            self.failures.append(fmt.format(*args))
 
     def outcome(self) -> CheckOutcome:
         if self.failures:
@@ -73,38 +78,58 @@ class _Check:
         return CheckOutcome(self.name, True, f"{self.cases} cases")
 
 
+class _Checks:
+    """One sweep's checks and notes, reported in the order they were opened."""
+
+    def __init__(self):
+        self._opened: list[_Check | CheckOutcome] = []
+
+    def __call__(self, name: str) -> _Check:
+        check = _Check(name)
+        self._opened.append(check)
+        return check
+
+    def note(self, name: str, detail: str) -> None:
+        """A passing entry whose detail is an observation, not a case count."""
+        self._opened.append(CheckOutcome(name, True, detail))
+
+    def outcomes(self) -> list[CheckOutcome]:
+        return [c.outcome() if isinstance(c, _Check) else c for c in self._opened]
+
+
 # ---------------------------------------------------------------------------
 # closed forms vs oracle
 
 
 def sweep_bipartite(max_product: int = 16, max_stanley: int = 5) -> list[CheckOutcome]:
-    formula_vs_dp = _Check("complete_bipartite_vs_dp")
+    check = _Checks()
+    formula_vs_dp = check("complete_bipartite_vs_dp")
     for m in range(1, max_product + 1):
         for n in range(m, max_product + 1):
             if m * n > max_product:
                 break
             lhs = closed_forms.complete_bipartite_count(m, n)
             rhs = count_shellings_dp(complete_bipartite_graph(m, n))
-            formula_vs_dp.record(lhs == rhs, f"K({m},{n}): {lhs} vs {rhs}")
+            formula_vs_dp.record(lhs == rhs, "K({},{}): {} vs {}", m, n, lhs, rhs)
 
-    stanley = _Check("stanley_sum_vs_formula")
-    symmetric = _Check("complete_bipartite_symmetry")
+    stanley = check("stanley_sum_vs_formula")
+    symmetric = check("complete_bipartite_symmetry")
     for m in range(1, max_stanley + 1):
         for n in range(m, max_stanley + 1):
             lhs = closed_forms.stanley_sum_count(m, n)
             rhs = closed_forms.complete_bipartite_count(m, n)
-            stanley.record(lhs == rhs, f"({m},{n}): {lhs} vs {rhs}")
+            stanley.record(lhs == rhs, "({},{}): {} vs {}", m, n, lhs, rhs)
             symmetric.record(
-                rhs == closed_forms.complete_bipartite_count(n, m), f"({m},{n})"
+                rhs == closed_forms.complete_bipartite_count(n, m), "({},{})", m, n
             )
 
-    kn = _Check("complete_graph_vs_dp")
+    kn = check("complete_graph_vs_dp")
     for n in range(2, 6):
         lhs = closed_forms.complete_graph_count(n)
         rhs = count_shellings_dp(complete_graph(n))
-        kn.record(lhs == rhs, f"K{n}: {lhs} vs {rhs}")
+        kn.record(lhs == rhs, "K{}: {} vs {}", n, lhs, rhs)
 
-    return [formula_vs_dp.outcome(), stanley.outcome(), symmetric.outcome(), kn.outcome()]
+    return check.outcomes()
 
 
 # ---------------------------------------------------------------------------
@@ -112,77 +137,66 @@ def sweep_bipartite(max_product: int = 16, max_stanley: int = 5) -> list[CheckOu
 
 
 def sweep_trees(max_n: int = DEFAULT_TREE_SWEEP_N) -> list[CheckOutcome]:
-    hook_vs_dp = _Check("hook_count_vs_rooted_dp")
-    roots_vs_dp = _Check("all_root_counts_vs_rooted_dp")
-    total_vs_dp = _Check("tree_count_vs_dp")
-    half_sum = _Check("rooted_sum_is_twice_total")
-    enum_count = _Check("labeled_tree_enumeration_count")
-    prufer_roundtrip = _Check("prufer_roundtrip")
-    tree_shape = _Check("enumerated_trees_connected_with_n_minus_1_edges")
-    seed_free = _Check("root_count_seed_independence")
-    edge_ratio = _Check("adjacent_root_integer_ratio")
+    check = _Checks()
+    enum_count = check("labeled_tree_enumeration_count")
+    tree_shape = check("enumerated_trees_connected_with_n_minus_1_edges")
+    prufer_roundtrip = check("prufer_roundtrip")
+    hook_vs_dp = check("hook_count_vs_rooted_dp")
+    roots_vs_dp = check("all_root_counts_vs_rooted_dp")
+    total_vs_dp = check("tree_count_vs_dp")
+    half_sum = check("rooted_sum_is_twice_total")
+    seed_free = check("root_count_seed_independence")
+    edge_ratio = check("adjacent_root_integer_ratio")
 
     for n in range(1, max_n + 1):
         expected = n ** (n - 2) if n >= 2 else 1
         seen: set[tuple] = set()
         for g in all_labeled_trees(n):
             seen.add(g.edges)
-            tree_shape.record(is_connected(g) and g.num_edges == n - 1, str(g.edges))
+            tree_shape.record(is_connected(g) and g.num_edges == n - 1, "{}", g.edges)
             if n >= 2:
                 prufer_roundtrip.record(
-                    prufer_decode(prufer_encode(g), n) == g, str(g.edges)
+                    prufer_decode(prufer_encode(g), n) == g, "{}", g.edges
                 )
             table = build_subset_table(g)
             dp = table.total
             total = tree_count(g)
-            total_vs_dp.record(total == dp, f"{g.edges}: {total} vs {dp}")
+            total_vs_dp.record(total == dp, "{}: {} vs {}", g.edges, total, dp)
             rt = root_tree(g, 0)
             roots = all_root_counts(rt)
             if n >= 2:
-                half_sum.record(sum(roots) == 2 * dp, str(g.edges))
+                half_sum.record(sum(roots) == 2 * dp, "{}", g.edges)
                 for v in range(n):
                     rdp = rooted_counts_from_table(table, g, v)
-                    roots_vs_dp.record(roots[v] == rdp, f"{g.edges} root {v}")
+                    roots_vs_dp.record(roots[v] == rdp, "{} root {}", g.edges, v)
                     hook_vs_dp.record(
-                        hook_count(root_tree(g, v)) == rdp, f"{g.edges} root {v}"
+                        hook_count(root_tree(g, v)) == rdp, "{} root {}", g.edges, v
                     )
             if 2 <= n <= 6:
                 for seed in (n // 2, n - 1, max(0, n - 3)):
                     seed_free.record(
-                        all_root_counts(root_tree(g, seed)) == roots, f"{g.edges} seed {seed}"
+                        all_root_counts(root_tree(g, seed)) == roots, "{} seed {}", g.edges, seed
                     )
                 # integer form of the adjacent-root ratio, per edge
                 size = rt.subtree_size
                 for u in rt.order[1:]:
                     w = rt.parent[u]
                     ok = roots[u] * (n - size[u]) == roots[w] * size[u]
-                    edge_ratio.record(ok, f"{g.edges} edge ({u},{w})")
-        enum_count.record(len(seen) == expected, f"n={n}: {len(seen)} vs {expected}")
+                    edge_ratio.record(ok, "{} edge ({},{})", g.edges, u, w)
+        enum_count.record(len(seen) == expected, "n={}: {} vs {}", n, len(seen), expected)
 
-    path_anchor = _Check("path_total_is_power_of_two")
-    path_roots = _Check("path_root_counts_are_binomials")
+    path_anchor = check("path_total_is_power_of_two")
+    path_roots = check("path_root_counts_are_binomials")
     for n in range(2, 21):
         g = path_graph(n)
-        path_anchor.record(tree_count(g) == closed_forms.path_count(n), f"n={n}")
+        path_anchor.record(tree_count(g) == closed_forms.path_count(n), "n={}", n)
         roots = all_root_counts(root_tree(g, 0))
         path_roots.record(
             all(roots[i - 1] == closed_forms.rooted_path_count(n, i) for i in range(1, n + 1)),
-            f"n={n}",
+            "n={}", n,
         )
 
-    return [
-        enum_count.outcome(),
-        tree_shape.outcome(),
-        prufer_roundtrip.outcome(),
-        hook_vs_dp.outcome(),
-        roots_vs_dp.outcome(),
-        total_vs_dp.outcome(),
-        half_sum.outcome(),
-        seed_free.outcome(),
-        edge_ratio.outcome(),
-        path_anchor.outcome(),
-        path_roots.outcome(),
-    ]
+    return check.outcomes()
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +214,27 @@ def _weight_sum_not_decreased(gr: list[int], hr: list[int], v: int) -> bool:
     return sum(hr) * gr[v] >= sum(gr) * hr[v]
 
 
+def _fixpoint(step, g: Graph) -> Graph:
+    """Apply ``step`` from g until it returns None, at most 4n + 1 times."""
+    for _ in range(4 * g.num_vertices + 1):
+        nxt = step(g)
+        if nxt is None:
+            break
+        g = nxt
+    return g
+
+
 def sweep_bounds(max_n: int = DEFAULT_BOUND_SWEEP_N) -> list[CheckOutcome]:
-    lower = _Check("degree_lower_bound_holds")
-    lower_eq = _Check("degree_bound_equality_iff_path_or_star")
-    weight = _Check("weight_bound_holds_every_root")
-    spider_bound = _Check("count_at_most_mid_spider_count")
-    printed_bound = _Check("count_at_most_printed_diameter_bound")
-    push_mono = _Check("push_step_weight_sum_not_decreased")
-    push_shape = _Check("push_step_preserves_size_and_depth")
-    pull_mono = _Check("pull_step_count_not_decreased")
-    fixpoints = _Check("transform_fixpoints_reached")
+    check = _Checks()
+    lower = check("degree_lower_bound_holds")
+    lower_eq = check("degree_bound_equality_iff_path_or_star")
+    weight = check("weight_bound_holds_every_root")
+    spider_bound = check("count_at_most_mid_spider_count")
+    printed_bound = check("count_at_most_printed_diameter_bound")
+    push_mono = check("push_step_weight_sum_not_decreased")
+    push_shape = check("push_step_preserves_size_and_depth")
+    pull_mono = check("pull_step_count_not_decreased")
+    fixpoints = check("transform_fixpoints_reached")
 
     gaps: dict[tuple[int, int], Fraction] = {}
     for n in range(2, max_n + 1):
@@ -218,16 +243,16 @@ def sweep_bounds(max_n: int = DEFAULT_BOUND_SWEEP_N) -> list[CheckOutcome]:
             br = bound_report(g)
             count, roots, heights = br.exact, br.root_counts, br.heights
             bound, predicted = br.degree_lower, br.degree_equality_predicted
-            lower.record(bound <= count, f"{g.edges}: {bound} > {count}")
-            lower_eq.record((bound == count) == predicted, str(g.edges))
+            lower.record(bound <= count, "{}: {} > {}", g.edges, bound, count)
+            lower_eq.record((bound == count) == predicted, "{}", g.edges)
 
             for v, coeff in enumerate(br.per_root_weight_bounds):
-                weight.record(count <= coeff * roots[v], f"{g.edges} root {v}")
+                weight.record(count <= coeff * roots[v], "{} root {}", g.edges, v)
 
             ell = br.diameter
             gaps[(n, ell)] = br.printed_vs_extremal_gap
-            spider_bound.record(count <= br.mid_spider_exact, f"{g.edges}")
-            printed_bound.record(count <= br.diameter_upper_printed, f"{g.edges}")
+            spider_bound.record(count <= br.mid_spider_exact, "{}", g.edges)
+            printed_bound.record(count <= br.diameter_upper_printed, "{}", g.edges)
 
             for v in range(n) if exhaustive_roots else (0,):
                 pushed = push_branch_from_root(g, v)
@@ -236,62 +261,49 @@ def sweep_bounds(max_n: int = DEFAULT_BOUND_SWEEP_N) -> list[CheckOutcome]:
                 pr = root_tree(pushed, v)
                 push_mono.record(
                     _weight_sum_not_decreased(roots, all_root_counts(pr), v),
-                    f"{g.edges} root {v}",
+                    "{} root {}", g.edges, v,
                 )
                 push_shape.record(
                     pushed.num_vertices == n and heights[v] == pr.height[v],
-                    f"{g.edges} root {v}",
+                    "{} root {}", g.edges, v,
                 )
 
             pulled = pull_branch_toward_middle(g)
             if pulled is not None:
                 pull_mono.record(
-                    sum(all_root_counts(root_tree(pulled, 0))) >= sum(roots), f"{g.edges}"
+                    sum(all_root_counts(root_tree(pulled, 0))) >= sum(roots), "{}", g.edges
                 )
 
             if n <= 6:
-                cur, steps = g, 0
-                while steps <= 4 * n:
-                    nxt = pull_branch_toward_middle(cur)
-                    if nxt is None:
-                        break
-                    cur = nxt
-                    steps += 1
+                cur = _fixpoint(pull_branch_toward_middle, g)
                 fixpoints.record(
                     is_mid_spider_shape(cur)
                     and max(eccentricities(root_tree(cur, 0))) == ell,
-                    f"pull from {g.edges}",
+                    "pull from {}", g.edges,
                 )
             if n <= 5:
                 for v in range(n):
-                    cur, steps = g, 0
-                    while steps <= 4 * n:
-                        nxt = push_branch_from_root(cur, v)
-                        if nxt is None:
-                            break
-                        cur = nxt
-                        steps += 1
+                    cur = _fixpoint(lambda h: push_branch_from_root(h, v), g)
                     path = longest_descending_path(cur, v)
                     off = set(range(n)) - set(path)
                     fixpoints.record(
                         all(path[-2] in cur.adjacency[u] for u in off),
-                        f"push from {g.edges} root {v}",
+                        "push from {} root {}", g.edges, v,
                     )
 
-    pins = _Check("printed_vs_extremal_regression_pins")
+    pins = check("printed_vs_extremal_regression_pins")
     pins.record(diameter_upper_bound_printed(3, 2) == 4, "(3,2) printed")
     pins.record(tree_count(path_graph(3)) == 2, "(3,2) exact")
     pins.record(diameter_upper_bound_printed(5, 4) == 16, "(5,4) printed")
     pins.record(tree_count(path_graph(5)) == 8, "(5,4) exact")
 
     # the gap is recorded, not asserted: the printed formula is reported as is
-    gap_note = CheckOutcome(
+    check.note(
         "printed_vs_extremal_gap_observed",
-        True,
         ", ".join(f"n={n} l={l}: {g}" for (n, l), g in sorted(gaps.items())),
     )
 
-    brooms = _Check("double_broom_family_closed_forms")
+    brooms = check("double_broom_family_closed_forms")
     for d2, formula in ((3, lambda n: 2 ** (n - 1) - 2), (4, lambda n: 6 * (2 ** (n - 2) - n + 1))):
         for middle in range(2, 12):
             g = double_broom(2, d2, middle)
@@ -299,23 +311,10 @@ def sweep_bounds(max_n: int = DEFAULT_BOUND_SWEEP_N) -> list[CheckOutcome]:
             if n > 10:
                 break
             brooms.record(
-                tree_count(g) == formula(n), f"(2,{d2}) middle={middle}: n={n}"
+                tree_count(g) == formula(n), "(2,{}) middle={}: n={}", d2, middle, n
             )
 
-    return [
-        lower.outcome(),
-        lower_eq.outcome(),
-        weight.outcome(),
-        spider_bound.outcome(),
-        printed_bound.outcome(),
-        push_mono.outcome(),
-        push_shape.outcome(),
-        pull_mono.outcome(),
-        fixpoints.outcome(),
-        pins.outcome(),
-        gap_note,
-        brooms.outcome(),
-    ]
+    return check.outcomes()
 
 
 # ---------------------------------------------------------------------------
@@ -331,20 +330,19 @@ STORY_Z_VALUES = (
 )
 
 
-def _record_case(check: _Check, case) -> None:
-    """Record an identity case; failures carry both reduced sides."""
-    check.record(case.holds, f"{case.params}: lhs={case.lhs} rhs={case.rhs}")
-
-
 def sweep_identities() -> list[CheckOutcome]:
-    story = _Check("story_identity_grid")
+    # a failing identity case carries both reduced sides
+    sides = "{0.params}: lhs={0.lhs} rhs={0.rhs}"
+    check = _Checks()
+    story = check("story_identity_grid")
     for x in range(1, 5):
         for y in range(1, 5):
             for span in range(x, x + 5):
                 for z in STORY_Z_VALUES:
-                    _record_case(story, identities.verify_story(x, y, z, z + span))
+                    case = identities.verify_story(x, y, z, z + span)
+                    story.record(case.holds, sides, case)
 
-    poly = _Check("story_polynomial_identity")
+    poly = check("story_polynomial_identity")
     for x in range(1, 5):
         for y in range(1, 5):
             for zprime in range(x, x + 5):
@@ -352,16 +350,17 @@ def sweep_identities() -> list[CheckOutcome]:
                 for t in range(zprime + 2):
                     w = Fraction(2 * zprime + 2 * t + 1, 2)
                     lhs, rhs = identities.story_side_values(x, y, zprime, w)
-                    poly.record(lhs == rhs, f"x={x} y={y} z'={zprime} w={w}")
+                    poly.record(lhs == rhs, "x={} y={} z'={} w={}", x, y, zprime, w)
 
-    binsum = _Check("binomial_sum_full_grid")
+    binsum = check("binomial_sum_full_grid")
     for m in range(1, 7):
         for n in range(2, 7):
             for k in range(1, n):
                 for s in range(m + n - k - 1):
-                    _record_case(binsum, identities.verify_binomial_sum(m, n, k, s))
+                    case = identities.verify_binomial_sum(m, n, k, s)
+                    binsum.record(case.holds, sides, case)
 
-    indlem = _Check("induction_lemma_full_grid")
+    indlem = check("induction_lemma_full_grid")
     branch_zero = branch_pos = 0
     for m in range(1, 6):
         for n in range(2, 6):
@@ -373,44 +372,39 @@ def sweep_identities() -> list[CheckOutcome]:
                     else:
                         branch_pos += 1
                     for ell in range(i0, k + 1):
-                        _record_case(indlem, identities.verify_induction_lemma(m, n, k, s, ell))
-    branches = _Check("induction_lemma_covers_both_branches")
-    branches.record(branch_zero > 0 and branch_pos > 0, f"i0=0: {branch_zero}, i0>0: {branch_pos}")
+                        case = identities.verify_induction_lemma(m, n, k, s, ell)
+                        indlem.record(case.holds, sides, case)
+    branches = check("induction_lemma_covers_both_branches")
+    branches.record(
+        branch_zero > 0 and branch_pos > 0, "i0=0: {}, i0>0: {}", branch_zero, branch_pos
+    )
 
-    indthm = _Check("induction_theorem_grid")
+    indthm = check("induction_theorem_grid")
     for m in range(1, 5):
         for n in range(2, 5):
             for k in range(1, n):
                 try:
-                    _record_case(indthm, identities.verify_induction_theorem(m, n, k))
+                    case = identities.verify_induction_theorem(m, n, k)
                 except ValueError as exc:
-                    indthm.record(False, f"(m={m},n={n},k={k}): {exc}")
+                    indthm.record(False, "(m={},n={},k={}): {}", m, n, k, exc)
+                else:
+                    indthm.record(case.holds, sides, case)
 
-    a1 = _Check("appendix_binomial_vs_power_iff")
+    a1 = check("appendix_binomial_vs_power_iff")
     for d in range(3, 7):
         for sizes in itertools.combinations_with_replacement(range(1, 6), d - 1):
             expected = all(s == 1 for s in sizes)
-            a1.record(identities.lemma_a1_check(sizes, d) == expected, f"d={d} s={sizes}")
+            a1.record(identities.lemma_a1_check(sizes, d) == expected, "d={} s={}", d, sizes)
 
-    a2 = _Check("appendix_factorial_inequality")
-    a3 = _Check("appendix_binomial_linear_iff")
+    a2 = check("appendix_factorial_inequality")
+    a3 = check("appendix_binomial_linear_iff")
     for d1 in range(2, 13):
         for d2 in range(d1, 13):
-            a2.record(identities.lemma_a2_check(d1, d2), f"({d1},{d2})")
+            a2.record(identities.lemma_a2_check(d1, d2), "({},{})", d1, d2)
             expected = d1 == 2 and d2 <= 4
-            a3.record(identities.lemma_a3_check(d1, d2) == expected, f"({d1},{d2})")
+            a3.record(identities.lemma_a3_check(d1, d2) == expected, "({},{})", d1, d2)
 
-    return [
-        story.outcome(),
-        poly.outcome(),
-        binsum.outcome(),
-        indlem.outcome(),
-        branches.outcome(),
-        indthm.outcome(),
-        a1.outcome(),
-        a2.outcome(),
-        a3.outcome(),
-    ]
+    return check.outcomes()
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +428,14 @@ def oracle_corpus() -> list[tuple[str, Graph]]:
 
 
 def sweep_oracle() -> list[CheckOutcome]:
-    agree = _Check("enumeration_matches_dp")
+    check = _Checks()
+    agree = check("enumeration_matches_dp")
     for name, g in oracle_corpus():
         listed = len(enumerate_shellings(g))
         counted = count_shellings_dp(g)
-        agree.record(listed == counted, f"{name}: {listed} vs {counted}")
+        agree.record(listed == counted, "{}: {} vs {}", name, listed, counted)
 
-    relabel = _Check("dp_invariant_under_relabeling")
+    relabel = check("dp_invariant_under_relabeling")
     perms = {
         4: [(1, 0, 3, 2), (3, 2, 1, 0), (2, 3, 0, 1)],
         5: [(4, 3, 2, 1, 0), (1, 2, 3, 4, 0)],
@@ -451,16 +446,16 @@ def sweep_oracle() -> list[CheckOutcome]:
             relabeled = Graph.from_edges(
                 g.num_vertices, [(perm[u], perm[v]) for u, v in g.edges]
             )
-            relabel.record(count_shellings_dp(relabeled) == base, f"{name} perm {perm}")
+            relabel.record(count_shellings_dp(relabeled) == base, "{} perm {}", name, perm)
 
-    rooted_sum = _Check("rooted_counts_sum_to_twice_total_on_trees")
+    rooted_sum = check("rooted_counts_sum_to_twice_total_on_trees")
     for n in range(2, 7):
         for g in all_labeled_trees(n):
             table = build_subset_table(g)
             s = sum(rooted_counts_from_table(table, g, v) for v in range(n))
-            rooted_sum.record(s == 2 * table.total, str(g.edges))
+            rooted_sum.record(s == 2 * table.total, "{}", g.edges)
 
-    return [agree.outcome(), relabel.outcome(), rooted_sum.outcome()]
+    return check.outcomes()
 
 
 # ---------------------------------------------------------------------------
@@ -473,15 +468,18 @@ SUITES = ("identities", "trees", "bipartite", "bounds", "oracle", "all")
 def run_suite(suite: str, max_n: int | None = None) -> list[CheckOutcome]:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
+    if max_n is not None and not 2 <= max_n <= MAX_TREE_ENUM_N:
+        # refused before any sweep runs, not after the sizes below it
+        raise GuardExceeded(f"sweep size must be 2 to {MAX_TREE_ENUM_N}, got {max_n}")
     out: list[CheckOutcome] = []
     if suite in ("bipartite", "all"):
         out.extend(sweep_bipartite())
     if suite in ("oracle", "all"):
         out.extend(sweep_oracle())
     if suite in ("trees", "all"):
-        out.extend(sweep_trees(max_n or DEFAULT_TREE_SWEEP_N))
+        out.extend(sweep_trees(DEFAULT_TREE_SWEEP_N if max_n is None else max_n))
     if suite in ("bounds", "all"):
-        out.extend(sweep_bounds(max_n or DEFAULT_BOUND_SWEEP_N))
+        out.extend(sweep_bounds(DEFAULT_BOUND_SWEEP_N if max_n is None else max_n))
     if suite in ("identities", "all"):
         out.extend(sweep_identities())
     return out

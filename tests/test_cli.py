@@ -270,7 +270,8 @@ def test_formula_commands(capsys):
 
 
 @pytest.mark.parametrize("params", [["kn", "3000"], ["kmn", "60", "60"], ["path", "20000"],
-                                    ["kmn", str(10**200), "3"], ["path", str(10**400)]])
+                                    ["kmn", str(10**200), "3"], ["path", str(10**400)],
+                                    ["stanley", "1", "200000"]])
 def test_formula_refuses_results_past_the_digit_limit(capsys, monkeypatch, params):
     import time
 
@@ -279,7 +280,8 @@ def test_formula_refuses_results_past_the_digit_limit(capsys, monkeypatch, param
     def never(*args):
         raise AssertionError("computed a refused formula")
 
-    for name in ("complete_graph_count", "complete_bipartite_count", "path_count"):
+    for name in ("complete_graph_count", "complete_bipartite_count", "path_count",
+                 "stanley_inner_sum", "stanley_sum_count"):
         monkeypatch.setattr(closed_forms, name, never)
     start = time.perf_counter()
     code, out, err = run(capsys, "formula", *params)
@@ -370,6 +372,28 @@ def test_verify_trees_small(capsys):
     code, doc = run_json(capsys, "verify", "trees", "--max-n", "5")
     assert code == 0
     assert doc["results"]["failures"] == "0"
+
+
+@pytest.mark.parametrize("suite", ["trees", "bounds"])
+@pytest.mark.parametrize("max_n", ["0", "-1", "10"])
+def test_verify_refuses_sweep_sizes_outside_the_enumeration_range(capsys, monkeypatch,
+                                                                   suite, max_n):
+    import time
+
+    from shellings import sweeps
+
+    def never(*args):
+        raise AssertionError("ran a sweep for a refused size")
+
+    for name in ("sweep_bipartite", "sweep_oracle", "sweep_trees", "sweep_bounds",
+                 "sweep_identities"):
+        monkeypatch.setattr(sweeps, name, never)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", suite, "--max-n", max_n)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == f"error: sweep size must be 2 to 9, got {max_n}\n"
 
 
 def test_gen_outputs_parse(capsys):
