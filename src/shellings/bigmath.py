@@ -6,6 +6,11 @@ are plain Python ints (``Nat``), rationals are ``fractions.Fraction``
 those this module provides factorials, binomial coefficients (including
 generalized binomial coefficients with rational entries), Catalan numbers,
 and a small symbolic Gamma-product type with an exact reducer.
+
+It is also the one place that decides how an exact quotient and a rising
+product are computed: every division a theorem makes exact goes through
+``exact_div``, which raises ExactnessError on a remainder (also under
+``python -O``), and every rising product x(x+1)...(x+k-1) through ``rising``.
 """
 
 from __future__ import annotations
@@ -20,6 +25,29 @@ Nat = int
 Rat = Fraction
 
 RatLike = Fraction | int
+
+
+def exact_div(num: int, den: int, what: str) -> int:
+    """num / den, which a theorem makes exact; a remainder raises
+    ExactnessError(what)."""
+    q, r = divmod(num, den)
+    if r:
+        raise ExactnessError(what)
+    return q
+
+
+def rising(x: RatLike, k: int) -> RatLike:
+    """The rising product x(x+1)...(x+k-1) for k >= 0; k = 0 gives 1.
+
+    An int x gives an int.  For x = p/q the integer product of p + iq is
+    divided once by q^k, so no intermediate fraction is reduced.
+    """
+    if k < 0:
+        raise ValueError(f"rising product of negative length {k}")
+    if isinstance(x, int):
+        return math.prod(range(x, x + k))
+    p, q = x.numerator, x.denominator
+    return Fraction(math.prod(range(p, p + k * q, q)), q**k)
 
 
 def factorial(n: int) -> Nat:
@@ -40,10 +68,7 @@ def catalan(n: int) -> Nat:
     """The n-th Catalan number C(2n, n) / (n + 1)."""
     if n < 0:
         raise ValueError(f"catalan of negative {n}")
-    q, r = divmod(math.comb(2 * n, n), n + 1)
-    if r:
-        raise ExactnessError("Catalan division must be exact")
-    return q
+    return exact_div(math.comb(2 * n, n), n + 1, "Catalan division must be exact")
 
 
 def gbinom_lower_int(x: RatLike, y: int) -> Rat:
@@ -54,11 +79,7 @@ def gbinom_lower_int(x: RatLike, y: int) -> Rat:
     """
     if y < 0:
         raise ValueError(f"gbinom_lower_int with negative lower entry {y}")
-    x = Fraction(x)
-    num = Fraction(1)
-    for i in range(y):
-        num *= x - i
-    return num / factorial(y)
+    return rising(Fraction(x) - y + 1, y) / factorial(y)
 
 
 def gbinom_int_diff(x: RatLike, y: RatLike) -> Rat:
@@ -76,10 +97,7 @@ def gbinom_int_diff(x: RatLike, y: RatLike) -> Rat:
     if y <= -1:
         raise ValueError(f"gbinom_int_diff requires y > -1, got {y}")
     d = int(diff)
-    num = Fraction(1)
-    for i in range(1, d + 1):
-        num *= y + i
-    return num / factorial(d)
+    return rising(y + 1, d) / factorial(d)
 
 
 def _frac_part(a: Fraction) -> Fraction:
@@ -92,14 +110,7 @@ def _pochhammer_ratio(p: Fraction, q: Fraction) -> Fraction:
     if diff.denominator != 1:
         raise ExactnessError("Gamma arguments must differ by an integer")
     d = int(diff)
-    out = Fraction(1)
-    if d >= 0:
-        for i in range(d):
-            out *= q + i
-    else:
-        for i in range(-d):
-            out /= p + i
-    return out
+    return rising(q, d) if d >= 0 else 1 / rising(p, -d)
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,12 @@ half their sum.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bigmath import Nat, Rat, binomial, factorial
-from .errors import ExactnessError, NotATreeError
+from .bigmath import Nat, Rat, binomial, exact_div, factorial
+from .errors import NotATreeError
 from .graphs import Graph
 from .trees import RootedTree, all_root_counts, eccentricities, root_tree, tree_count
 
@@ -33,11 +34,9 @@ def degree_lower_bound(g: Graph) -> tuple[Nat, bool]:
     n = g.num_vertices
     if not g.is_tree() or n < 2:
         raise NotATreeError("degree_lower_bound requires a tree on >= 2 vertices")
-    bound = 1
-    for v in range(n):
-        bound *= factorial(g.degree(v))
-    max_degree = max(g.degree(v) for v in range(n))
-    return bound, (max_degree <= 2 or max_degree == n - 1)
+    degrees = [g.degree(v) for v in range(n)]
+    max_degree = max(degrees)
+    return math.prod(map(factorial, degrees)), (max_degree <= 2 or max_degree == n - 1)
 
 
 def diameter_upper_bound_printed(n: int, length: int) -> Rat:
@@ -283,9 +282,7 @@ def bound_report(g: Graph) -> BoundReport:
         raise NotATreeError("bound_report requires a tree on >= 2 vertices")
     rt = root_tree(g, 0)
     roots = all_root_counts(rt)
-    exact, r = divmod(sum(roots), 2)
-    if r:
-        raise ExactnessError("sum of rooted counts must be even")
+    exact = exact_div(sum(roots), 2, "sum of rooted counts must be even")
     lower, predicted = degree_lower_bound(g)
     heights = eccentricities(rt)
     diameter = max(heights)

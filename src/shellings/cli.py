@@ -184,7 +184,7 @@ def cmd_formula(args: argparse.Namespace) -> int:
             m, n = p
             inner = _timed(report.timing, "stanley",
                            lambda: closed_forms.stanley_inner_sum(m, n, args.max_stanley_terms))
-            report.add_result("stanley", closed_forms.stanley_sum_count(m, n, args.max_stanley_terms))
+            report.add_result("stanley", closed_forms._stanley_count_from_sum(m, n, inner))
             report.add_result("stanley_inner_sum", inner)
         elif args.family == "path":
             (n,) = p

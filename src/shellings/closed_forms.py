@@ -8,11 +8,12 @@ ExactnessError rather than being tolerated.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
-from .bigmath import Nat, Rat, binomial, catalan, factorial
-from .errors import ExactnessError, GuardExceeded
+from .bigmath import Nat, Rat, binomial, catalan, exact_div, factorial
+from .errors import GuardExceeded
 
 DEFAULT_MAX_STANLEY_TERMS = 10**6
 
@@ -21,20 +22,16 @@ def complete_graph_count(n: int) -> Nat:
     """F(K_n) = 2^(n-2) * C(n,2)! / catalan(n-1), exactly."""
     if n < 2:
         raise ValueError(f"complete_graph_count requires n >= 2, got {n}")
-    q, r = divmod(2 ** (n - 2) * factorial(n * (n - 1) // 2), catalan(n - 1))
-    if r:
-        raise ExactnessError("Catalan division must be exact")
-    return q
+    return exact_div(2 ** (n - 2) * factorial(n * (n - 1) // 2), catalan(n - 1),
+                     "Catalan division must be exact")
 
 
 def complete_bipartite_count(m: int, n: int) -> Nat:
     """F(K_{m,n}) = m! n! (mn)! / (m+n-1)!, exactly."""
     if m < 1 or n < 1:
         raise ValueError(f"part sizes must be positive, got ({m}, {n})")
-    q, r = divmod(factorial(m) * factorial(n) * factorial(m * n), factorial(m + n - 1))
-    if r:
-        raise ExactnessError("factorial division must be exact")
-    return q
+    return exact_div(factorial(m) * factorial(n) * factorial(m * n), factorial(m + n - 1),
+                     "factorial division must be exact")
 
 
 def b_sequence(alpha) -> tuple[int, ...]:
@@ -76,24 +73,20 @@ def stanley_inner_sum(m: int, n: int, max_terms: int = DEFAULT_MAX_STANLEY_TERMS
     total = Fraction(0)
     for alpha in _zero_one_sequences(m, n):
         b = b_sequence(alpha)
-        num = 1
-        for x in b:
-            num *= x
-        den = 1
-        suffix = 0
-        for x in reversed(b):
-            suffix += x
-            den *= suffix
-        total += Fraction(num, den)
+        total += Fraction(math.prod(b), math.prod(accumulate(reversed(b))))
     return total
 
 
 def stanley_sum_count(m: int, n: int, max_terms: int = DEFAULT_MAX_STANLEY_TERMS) -> Nat:
     """F(K_{m,n}) via the 0/1-sequence sum; the total must be an integer."""
-    total = factorial(m) * factorial(n) * factorial(m * n - 1) * stanley_inner_sum(m, n, max_terms)
-    if total.denominator != 1:
-        raise ExactnessError("summation total must be an integer")
-    return total.numerator
+    return _stanley_count_from_sum(m, n, stanley_inner_sum(m, n, max_terms))
+
+
+def _stanley_count_from_sum(m: int, n: int, inner: Rat) -> Nat:
+    """m! n! (mn-1)! times the inner sum of ``stanley_inner_sum(m, n)``."""
+    scale = factorial(m) * factorial(n) * factorial(m * n - 1)
+    return exact_div(scale * inner.numerator, inner.denominator,
+                     "summation total must be an integer")
 
 
 def path_count(n: int) -> Nat:

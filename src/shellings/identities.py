@@ -21,6 +21,7 @@ from .bigmath import (
     gamma_product_reduce,
     gbinom_int_diff,
     gbinom_lower_int,
+    rising,
 )
 from .errors import GuardExceeded
 
@@ -99,14 +100,9 @@ def verify_binomial_sum(m: int, n: int, k: int, s: int) -> IdentityCase:
     low = Fraction(m * k, n - k)
     lhs = Fraction(0)
     for t in range(s + 1, m + n - k):
-        prod = t - n + k + 1
-        for a in range(2, k + 1):
-            prod *= t + a
+        prod = (t - n + k + 1) * rising(t + 2, k - 1)
         lhs += prod * gbinom_int_diff(base + n - k - t - 2, low - 1)
-    prod = 1
-    for a in range(2, k + 2):
-        prod *= s + a
-    rhs = Fraction(m, m + n - k) * prod * gbinom_int_diff(base + n - k - s - 2, low)
+    rhs = Fraction(m, m + n - k) * rising(s + 2, k) * gbinom_int_diff(base + n - k - s - 2, low)
     return _case("binomial_sum", {"m": m, "n": n, "k": k, "s": s}, lhs, rhs)
 
 
@@ -189,10 +185,7 @@ def induction_theorem_sides(m: int, n: int, k: int) -> tuple[Rat, Rat]:
     rhs = Fraction(0)
     for rs in combinations(range(1, m + k), k):
         r_k = rs[-1]
-        scalar = Fraction(r_k - k + 1)
-        for i in range(r_k + 2, r_k + n - k + 1):
-            scalar *= i
-        scalar *= gbinom_int_diff(
+        scalar = (r_k - k + 1) * rising(r_k + 2, n - k - 1) * gbinom_int_diff(
             Fraction(mn, k) + k - 2 - r_k, Fraction(m * (n - k), k) - 1
         )
         term = GammaProduct(scalar, (Fraction(m * (n - k), k),), ())

@@ -8,8 +8,11 @@ versioned and reports round-trip losslessly.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+from .errors import GuardExceeded
 
 SCHEMA_VERSION = 1
 
@@ -49,7 +52,14 @@ class Report:
     schema_version: int = SCHEMA_VERSION
 
     def add_result(self, method: str, value) -> None:
-        self.results[method] = format_value(value)
+        """Store ``value`` serialized; a value past the int-to-str digit
+        limit is refused with GuardExceeded rather than crashing."""
+        try:
+            self.results[method] = format_value(value)
+        except ValueError as exc:
+            raise GuardExceeded(
+                f"result {method!r} has more than {sys.get_int_max_str_digits()} decimal "
+                "digits, the limit of int-to-str conversion") from exc
 
     def add_check(self, name: str, ok: bool, detail: str = "") -> None:
         self.cross_checks.append(CrossCheck(name, "pass" if ok else "fail", detail))

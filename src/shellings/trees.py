@@ -21,11 +21,12 @@ and every root's height from that one rooting.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
-from .bigmath import Nat, factorial
-from .errors import ExactnessError, NotATreeError
+from .bigmath import Nat, exact_div, factorial
+from .errors import NotATreeError
 from .graphs import Graph
 
 
@@ -103,13 +104,7 @@ def eccentricities(rt: RootedTree) -> list[int]:
 def hook_count(rt: RootedTree) -> Nat:
     """F(T_v) = n! / prod of subtree sizes; the division is exact."""
     n = len(rt.subtree_size)
-    denom = 1
-    for s in rt.subtree_size:
-        denom *= s
-    q, r = divmod(factorial(n), denom)
-    if r:
-        raise ExactnessError("hook product must divide n!")
-    return q
+    return exact_div(factorial(n), math.prod(rt.subtree_size), "hook product must divide n!")
 
 
 def all_root_counts(rt: RootedTree) -> list[Nat]:
@@ -125,11 +120,8 @@ def all_root_counts(rt: RootedTree) -> list[Nat]:
     counts: list[Nat] = [0] * n
     counts[rt.root] = hook_count(rt)
     for u in rt.order[1:]:
-        w = rt.parent[u]
-        q, r = divmod(counts[w] * size[u], n - size[u])
-        if r:
-            raise ExactnessError("root-ratio propagation must stay integral")
-        counts[u] = q
+        counts[u] = exact_div(counts[rt.parent[u]] * size[u], n - size[u],
+                              "root-ratio propagation must stay integral")
     return counts
 
 
@@ -202,10 +194,6 @@ def tree_count(g: Graph) -> Nat:
             s = size[head]
             light.setdefault(parent[head], []).append((s * p, (n - s) * q))
     # sum_v F(T_v) = n! / prod(sizes) * p / q
-    root_sum, r = divmod(factorial(n) * p, _pairwise(list(size), operator.mul) * q)
-    if r:
-        raise ExactnessError("sum of rooted counts must be an integer")
-    total, r = divmod(root_sum, 2)
-    if r:
-        raise ExactnessError("sum of rooted counts must be even")
-    return total
+    root_sum = exact_div(factorial(n) * p, _pairwise(list(size), operator.mul) * q,
+                         "sum of rooted counts must be an integer")
+    return exact_div(root_sum, 2, "sum of rooted counts must be even")

@@ -2,18 +2,21 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from shellings.bigmath import (
     GammaProduct,
     binomial,
     catalan,
+    exact_div,
     factorial,
     gamma_product_reduce,
     gbinom_int_diff,
     gbinom_lower_int,
+    rising,
 )
+from shellings.errors import ExactnessError
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
@@ -80,6 +83,32 @@ def test_gbinom_rising_product_identity():
         for i in range(1, d + 1):
             prod *= y + i
         assert gbinom_int_diff(x, y) * factorial(d) == prod
+
+
+@given(st.one_of(st.integers(-30, 30), rationals), st.integers(0, 12))
+@example(-4, 0)
+@example(Fraction(-7, 3), 0)
+@example(-3, 6)
+@example(Fraction(-5, 2), 7)
+def test_rising_matches_a_plain_loop(x, k):
+    expected = 1
+    for i in range(k):
+        expected *= x + i
+    got = rising(x, k)
+    assert got == expected
+    assert type(got) is type(x)
+
+
+def test_rising_rejects_negative_length():
+    with pytest.raises(ValueError):
+        rising(3, -1)
+
+
+def test_exact_div():
+    assert exact_div(12, 4, "unused") == 3
+    assert exact_div(-12, 4, "unused") == -3
+    with pytest.raises(ExactnessError, match="^thirteen over four$"):
+        exact_div(13, 4, "thirteen over four")
 
 
 @given(rationals, rationals, rationals)

@@ -21,7 +21,6 @@ from shellings.errors import ExactnessError, NotATreeError
 from shellings.graphs import (
     Graph,
     all_labeled_trees,
-    bfs_distances,
     classify,
     cycle_graph,
     path_graph,
@@ -31,6 +30,8 @@ from shellings.graphs import (
 )
 from shellings.sweeps import sweep_bounds
 from shellings.trees import all_root_counts, eccentricities, root_tree, tree_count
+
+from bfs_reference import bfs_distances
 
 
 def reference_longest_path(g):

@@ -240,6 +240,18 @@ def test_tree_commands_refuse_non_trees(tmp_path, capsys, command, text):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["count", "tree-roots", "bounds"])
+def test_tree_commands_refuse_results_past_the_digit_limit(tmp_path, capsys, command):
+    # this tree's count has more than 4,300 decimal digits
+    _, text, _ = run(capsys, "gen", "tree", "2000", "--seed", "1")
+    path = write_graph(tmp_path, "t2000.txt", text)
+    code, out, err = run(capsys, command, path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: result ") and err.count("\n") == 1
+    assert "more than 4300 decimal digits" in err
+
+
 @pytest.mark.parametrize("command,expected", [("bounds", 2), ("tree-roots", 2), ("count", 1)])
 def test_tree_commands_root_the_input_once(tmp_path, capsys, monkeypatch, command, expected):
     from shellings import bounds, cli, graphs, trees
@@ -267,6 +279,22 @@ def test_formula_commands(capsys):
     assert doc["results"]["stanley_inner_sum"] == "2/3"
     code, doc = run_json(capsys, "formula", "path", "10")
     assert code == 0 and doc["results"]["path"] == "256"
+
+
+def test_formula_stanley_sums_once(capsys, monkeypatch):
+    calls, inner = [], closed_forms.stanley_inner_sum
+    monkeypatch.setattr(closed_forms, "stanley_inner_sum",
+                        lambda *args: calls.append(args) or inner(*args))
+    code, doc = run_json(capsys, "formula", "stanley", "3", "3")
+    assert code == 0 and len(calls) == 1
+    del doc["timing"]
+    assert doc == {
+        "schemaVersion": 1,
+        "command": "formula",
+        "input": {"family": "stanley", "params": [3, 3]},
+        "results": {"stanley": "108864", "stanley_inner_sum": "3/40"},
+        "crossChecks": [],
+    }
 
 
 @pytest.mark.parametrize("params", [["kn", "3000"], ["kmn", "60", "60"], ["path", "20000"],
@@ -333,7 +361,9 @@ def test_bounds_on_random_tree(tmp_path, capsys):
 
 def test_bounds_on_300_vertex_tree(tmp_path, capsys):
     from shellings.bigmath import binomial
-    from shellings.graphs import bfs_distances, random_tree
+    from shellings.graphs import random_tree
+
+    from bfs_reference import bfs_distances
 
     g = random_tree(300, 1)
     path = write_graph(tmp_path, "t300.txt", g.to_edge_list_text())

@@ -113,18 +113,37 @@ def test_exactness_checks_survive_python_O():
     # -O strips assert statements; the exactness checks must still raise
     script = """
 import math, sys
-from shellings import closed_forms, trees
+from shellings import bounds, closed_forms, trees
 from shellings.errors import ExactnessError
 from shellings.graphs import star_graph
 if not sys.flags.optimize:
     sys.exit(3)
 closed_forms.factorial = trees.factorial = lambda n: math.factorial(n) + (n == 6)
-for call in (lambda: closed_forms.complete_bipartite_count(2, 3),
-             lambda: trees.hook_count(trees.root_tree(star_graph(6), 1)),
-             lambda: trees.tree_count(star_graph(6))):
+hook, roots = trees.hook_count, bounds.all_root_counts
+
+def propagation():
+    # one too many at the seed root of star_graph(5): 25 * 1 / 4 is not integral
+    trees.hook_count = lambda rt: hook(rt) + 1
+    try:
+        trees.all_root_counts(trees.root_tree(star_graph(5), 0))
+    finally:
+        trees.hook_count = hook
+
+def odd_root_sum():
+    bounds.all_root_counts = lambda rt: [c + (v == rt.root) for v, c in enumerate(roots(rt))]
+    bounds.bound_report(star_graph(4))
+
+for call, what in ((lambda: closed_forms.complete_bipartite_count(2, 3), "factorial division"),
+                   (lambda: closed_forms.complete_graph_count(4), "Catalan division"),
+                   (lambda: trees.hook_count(trees.root_tree(star_graph(6), 1)), "hook product"),
+                   (lambda: trees.tree_count(star_graph(6)), "must be an integer"),
+                   (propagation, "root-ratio propagation"),
+                   (odd_root_sum, "must be even")):
     try:
         call()
-    except ExactnessError:
+    except ExactnessError as exc:
+        if what not in str(exc):
+            sys.exit(5)
         continue
     sys.exit(4)
 """

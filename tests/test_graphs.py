@@ -9,7 +9,6 @@ from shellings.errors import EdgeListParseError, GuardExceeded, NotATreeError
 from shellings.graphs import (
     Graph,
     all_labeled_trees,
-    bfs_distances,
     classify,
     complete_bipartite_graph,
     complete_graph,
@@ -24,6 +23,8 @@ from shellings.graphs import (
 )
 from shellings.bounds import longest_path
 from shellings.trees import all_root_counts, eccentricities, root_tree, tree_count
+
+from bfs_reference import bfs_distances
 
 
 def test_parse_basic():
