@@ -28,7 +28,7 @@ from .graphs import (
     path_graph,
     random_tree,
 )
-from .oracle import DEFAULT_MAX_DP_EDGES, count_shellings_dp
+from .oracle import count_shellings_dp
 from .report import Report, format_value
 from .trees import all_root_counts, root_tree, tree_count
 
@@ -99,12 +99,11 @@ def cmd_count(args: argparse.Namespace) -> int:
     has_formula = bool(report.results)
     if args.brute or not has_formula or not args.no_crosscheck:
         try:
-            value = _timed(report.timing, "dp",
-                           lambda: count_shellings_dp(g, args.max_dp_edges))
+            value = _timed(report.timing, "dp", lambda: count_shellings_dp(g))
         except GuardExceeded as exc:
             if args.brute or not has_formula:
                 raise
-            # past the edge guard or the state budget the formula stands unchecked
+            # past the DP's state budget the formula stands unchecked
             print(f"note: DP cross-check skipped: {exc}", file=sys.stderr)
         else:
             report.add_result("dp", value)
@@ -131,8 +130,9 @@ def cmd_tree_roots(args: argparse.Namespace) -> int:
     for v, value in enumerate(roots):
         report.add_result(f"root_{v}", value)
     if g.num_vertices >= 2:
+        # quote only admitted values: 2 * total may pass the digit limit
         report.add_check("half_sum_consistency", sum(roots) == 2 * total,
-                         f"sum {sum(roots)} vs 2 * {total}")
+                         f"sum of the root counts vs 2 * {report.results['total']}")
     _emit(report)
     return 0 if report.all_passed else CHECK_FAILURE
 
@@ -229,6 +229,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.max_n is not None and args.suite not in ("trees", "bounds", "all"):
+        print(f"error: verify {args.suite} takes no sweep size; --max-n is for "
+              "trees, bounds and all", file=sys.stderr)
+        return USAGE_ERROR
     report = Report("verify", input={"suite": args.suite, "maxN": args.max_n})
     outcomes = _timed(report.timing, args.suite,
                       lambda: sweeps.run_suite(args.suite, args.max_n))
@@ -288,9 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="use the DP as the primary method")
     p_count.add_argument("--no-crosscheck", action="store_true",
                          help="skip the DP cross-check of formula results")
-    p_count.add_argument("--max-dp-edges", type=int, default=DEFAULT_MAX_DP_EDGES,
-                         help="edge guard for the DP (default %(default)s); "
-                              "the DP also stops at its state budget")
     p_count.set_defaults(func=cmd_count)
 
     p_roots = sub.add_parser("tree-roots", help="per-root shelling counts of a tree")
@@ -311,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification sweep")
     p_verify.add_argument("suite", choices=list(sweeps.SUITES))
     p_verify.add_argument("--max-n", type=int, default=None,
-                          help="sweep size, 2 to 9 (defaults: trees 7, bounds 8)")
+                          help="sweep size of trees, bounds and all, 2 to 9 "
+                               "(defaults: trees 7, bounds 8)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="emit an edge-list file")

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 
 class GuardExceeded(RuntimeError):
-    """An input exceeds a configured size guard (edge count, term count, ...)."""
+    """An input exceeds a size guard: the DP's state budget, the
+    enumerator's edge count, a term count, a sweep size, a result's digits."""
 
 
 class EdgeListParseError(ValueError):

@@ -29,9 +29,12 @@ and W's frontier (the vertices outside W adjacent to it).  K_{4,5} takes
 80 states, the star K_{1,20} 20, and a 40-edge cycle, which has no
 twins, 1,522.
 
-MAX_DP_ENTRIES bounds the states created over one run of the DP; past
-it the DP raises GuardExceeded.  ``count`` reports the DP's time under
-the timing key ``dp``.
+MAX_DP_ENTRIES is the DP's one guard, for every caller.  A vertex set is
+an n-bit int, so each state created is charged n // 64 + 1 entries, and a
+run that would create more entries than the budget raises GuardExceeded.
+Each of a connected graph's m layers holds at least one state, so when m
+states alone pass the budget the DP is refused before any mask is built.
+``count`` reports the DP's time under the timing key ``dp``.
 
 These counters are the oracle every closed-form result is tested against,
 so they stay deliberately direct.
@@ -44,10 +47,10 @@ from dataclasses import dataclass
 from .errors import GuardExceeded
 from .graphs import Graph, is_connected
 
-DEFAULT_MAX_DP_EDGES = 20
 MAX_ENUM_EDGES = 8
-# Most (W, k) states one run of the DP may create, counting twins as one.
-MAX_DP_ENTRIES = 1 << 22
+# Most entries one run of the DP may create: n // 64 + 1 per (W, k) state,
+# counting twins as one.
+MAX_DP_ENTRIES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -92,12 +95,21 @@ def _twin_runs(nbr: list[int]) -> list[list[int]]:
     return runs + list(by_closed.values())
 
 
+def _over_budget(g: Graph, cap: int) -> GuardExceeded:
+    return GuardExceeded(f"{g.num_edges} edges on {g.num_vertices} vertices: more than {cap} "
+                         f"DP states of {g.num_vertices // 64 + 1} entries, past the DP "
+                         f"budget of {MAX_DP_ENTRIES} entries")
+
+
 def _shelling_dp(g: Graph, root: int | None = None) -> tuple[int, int]:
     """Orderings of all edges with every prefix connected and the first
     edge at ``root`` (anywhere when None), and the (W, k) states created."""
     m = g.num_edges
     if m == 0:
         return 1, 0
+    cap = MAX_DP_ENTRIES // (g.num_vertices // 64 + 1)  # the most states allowed
+    if m > cap:
+        raise _over_budget(g, cap)
     nbr = [0] * g.num_vertices
     for u, v in g.edges:
         nbr[u] |= 1 << v
@@ -134,7 +146,7 @@ def _shelling_dp(g: Graph, root: int | None = None) -> tuple[int, int]:
     created = len(layer)
     for k in range(1, m):
         grown = {}
-        room = MAX_DP_ENTRIES - created
+        room = cap - created
         for w, p in layer.items():
             ways = p - (p & low)  # the count, still shifted
             inner = (p & low) >> n
@@ -156,21 +168,14 @@ def _shelling_dp(g: Graph, root: int | None = None) -> tuple[int, int]:
                 else:
                     grown[w2] = q + ways * j * rest[x]
             if len(grown) > room:
-                raise GuardExceeded(
-                    f"{m} edges: more than {MAX_DP_ENTRIES} DP states, the DP budget")
+                raise _over_budget(g, cap)
         created += len(grown)
         layer = grown
     return layer.get(vmask, 0) >> shift, created
 
 
-def _edge_guard(g: Graph, max_edges: int) -> None:
-    if g.num_edges > max_edges:
-        raise GuardExceeded(f"{g.num_edges} edges exceeds DP guard {max_edges}")
-
-
-def build_subset_table(g: Graph, max_edges: int = DEFAULT_MAX_DP_EDGES) -> SubsetTable:
+def build_subset_table(g: Graph) -> SubsetTable:
     """Run the DP with every edge a seed."""
-    _edge_guard(g, max_edges)
     total, states = _shelling_dp(g)
     return SubsetTable(g.num_edges, total, states)
 
@@ -182,28 +187,24 @@ def rooted_counts_from_table(table: SubsetTable, g: Graph, v: int) -> int:
     return _shelling_dp(g, v)[0]
 
 
-def count_shellings_dp(g: Graph, max_edges: int = DEFAULT_MAX_DP_EDGES) -> int:
+def count_shellings_dp(g: Graph) -> int:
     """Exact shelling count F(g); 0 if g is disconnected."""
     if not is_connected(g):
         return 0
-    return build_subset_table(g, max_edges).total
+    return build_subset_table(g).total
 
 
-def count_rooted_shellings_dp(g: Graph, v: int, max_edges: int = DEFAULT_MAX_DP_EDGES) -> int:
+def count_rooted_shellings_dp(g: Graph, v: int) -> int:
     """Shellings whose first edge touches v; 0 if g is disconnected."""
     if not 0 <= v < g.num_vertices:
         raise ValueError(f"vertex {v} out of range")
     if not is_connected(g):
         return 0
-    _edge_guard(g, max_edges)
     return _shelling_dp(g, v)[0]
 
 
-def enumerate_shellings(g: Graph, limit: int | None = None) -> list[tuple[int, ...]]:
-    """All shellings as tuples of canonical edge indices, backtracking.
-
-    Truncates at ``limit`` orderings when given.  Guarded to 8 edges.
-    """
+def enumerate_shellings(g: Graph) -> list[tuple[int, ...]]:
+    """All shellings as tuples of canonical edge indices, backtracking; up to 8 edges."""
     m = g.num_edges
     if m > MAX_ENUM_EDGES:
         raise GuardExceeded(f"{m} edges exceeds enumeration guard {MAX_ENUM_EDGES}")
@@ -215,12 +216,10 @@ def enumerate_shellings(g: Graph, limit: int | None = None) -> list[tuple[int, .
     out: list[tuple[int, ...]] = []
     order: list[int] = []
 
-    def extend(used: int) -> bool:
-        if limit is not None and len(out) >= limit:
-            return False
+    def extend(used: int) -> None:
         if len(order) == m:
             out.append(tuple(order))
-            return limit is None or len(out) < limit
+            return
         for e in range(m):
             bit = 1 << e
             if used & bit:
@@ -228,11 +227,8 @@ def enumerate_shellings(g: Graph, limit: int | None = None) -> list[tuple[int, .
             if used and not (adj_masks[e] & used):
                 continue
             order.append(e)
-            keep_going = extend(used | bit)
+            extend(used | bit)
             order.pop()
-            if not keep_going:
-                return False
-        return True
 
     extend(0)
     return out

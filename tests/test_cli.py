@@ -6,6 +6,7 @@ from shellings import closed_forms
 from shellings.cli import main
 from shellings.graphs import parse_edge_list
 from shellings.report import Report
+from shellings.trees import tree_count
 
 
 def run(capsys, *argv):
@@ -66,27 +67,90 @@ def test_count_no_crosscheck(tmp_path, capsys):
     assert doc["crossChecks"] == []
 
 
-def test_count_guard_without_formula(tmp_path, capsys):
+def test_count_guard_without_formula(tmp_path, capsys, monkeypatch):
+    from shellings import oracle
+
+    # C_5's five layers take a state each, more than a budget of 4
+    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 4)
     path = write_graph(tmp_path, "c5.txt", "0 1\n1 2\n2 3\n3 4\n0 4\n")
-    code, _, err = run(capsys, "count", path, "--max-dp-edges", "3")
+    code, out, err = run(capsys, "count", path)
     assert code == 2
-    assert "guard" in err
+    assert out == ""
+    assert "budget" in err
 
 
-def test_count_formula_graph_past_edge_guard(tmp_path, capsys):
-    # C_4 = K_{2,2}: past the edge guard the formula stands unchecked, as
-    # past the state budget, and --brute is refused
+def test_count_formula_graph_refused_up_front(tmp_path, capsys, monkeypatch):
+    # C_4 = K_{2,2}: refused before the DP starts, the formula stands
+    # unchecked, as past the budget mid-run, and --brute is refused
+    from shellings import oracle
+
+    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 3)
     path = write_graph(tmp_path, "c4.txt", "0 1\n1 2\n2 3\n0 3\n")
-    code, out, err = run(capsys, "count", path, "--max-dp-edges", "3")
+    code, out, err = run(capsys, "count", path)
     assert code == 0
     doc = json.loads(out)
     assert doc["results"] == {"complete_bipartite": "16"}
     assert doc["crossChecks"] == []
-    assert "note: DP cross-check skipped" in err and "guard" in err
-    code, out, err = run(capsys, "count", path, "--brute", "--max-dp-edges", "3")
+    assert "note: DP cross-check skipped" in err and "budget" in err
+    code, out, err = run(capsys, "count", path, "--brute")
     assert code == 2
     assert out == ""
-    assert "guard" in err
+    assert "budget" in err
+
+
+@pytest.mark.parametrize("m,n", [(6, 6), (12, 12)])
+def test_count_cross_checks_complete_bipartite_past_twenty_edges(tmp_path, capsys, m, n):
+    edges = "".join(f"{i} {m + j}\n" for i in range(m) for j in range(n))
+    code, doc = run_json(capsys, "count", write_graph(tmp_path, "kmn.txt", edges))
+    assert code == 0
+    expected = str(closed_forms.complete_bipartite_count(m, n))
+    assert doc["results"] == {"complete_bipartite": expected, "dp": expected}
+    assert [(c["name"], c["status"]) for c in doc["crossChecks"]] == \
+        [("dp_vs_complete_bipartite", "pass")]
+
+
+def test_count_by_dp_past_twenty_edges(tmp_path, capsys):
+    from shellings.graphs import cycle_graph
+
+    c60 = write_graph(tmp_path, "c60.txt", cycle_graph(60).to_edge_list_text())
+    code, doc = run_json(capsys, "count", c60)
+    assert code == 0
+    assert doc["results"] == {"dp": str(60 * 2**58)}
+    # K_{5,5,5}: 75 edges, no closed form
+    parts = [range(0, 5), range(5, 10), range(10, 15)]
+    k555 = "".join(f"{u} {v}\n" for a, b in ((0, 1), (0, 2), (1, 2))
+                   for u in parts[a] for v in parts[b])
+    code, doc = run_json(capsys, "count", write_graph(tmp_path, "k555.txt", k555))
+    assert code == 0
+    assert doc["input"]["numEdges"] == 75 and set(doc["results"]) == {"dp"}
+    assert int(doc["results"]["dp"]) > 0
+
+
+def test_count_refuses_a_long_cycle_before_any_dp_setup(tmp_path, capsys, monkeypatch):
+    from shellings import oracle
+    from shellings.graphs import cycle_graph
+
+    def never(nbr):
+        raise AssertionError("built the DP's masks for a graph past the budget")
+
+    monkeypatch.setattr(oracle, "_twin_runs", never)
+    path = write_graph(tmp_path, "c100000.txt", cycle_graph(100000).to_edge_list_text())
+    code, out, err = run(capsys, "count", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "budget" in err
+
+
+def test_count_tree_past_the_budget_reports_its_formula(tmp_path, capsys):
+    from shellings.graphs import random_tree
+
+    g = random_tree(40, 3)
+    code, out, err = run(capsys, "count", write_graph(tmp_path, "t40.txt", g.to_edge_list_text()))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["results"] == {"tree": str(tree_count(g))}
+    assert doc["crossChecks"] == []
+    assert "note: DP cross-check skipped" in err and "budget" in err
 
 
 @pytest.mark.parametrize("n", [5, 30])
@@ -145,7 +209,7 @@ def test_count_names_dp_strategy_in_timing(tmp_path, capsys):
 
 def test_count_sparse_graph_past_twenty_edges(tmp_path, capsys):
     path = write_graph(tmp_path, "c40.txt", "".join(f"{i} {(i + 1) % 40}\n" for i in range(40)))
-    code, doc = run_json(capsys, "count", path, "--max-dp-edges", "40")
+    code, doc = run_json(capsys, "count", path)
     assert code == 0
     assert doc["results"] == {"dp": str(40 * 2**38)}
 
@@ -250,6 +314,26 @@ def test_tree_commands_refuse_results_past_the_digit_limit(tmp_path, capsys, com
     assert out == ""
     assert err.startswith("error: result ") and err.count("\n") == 1
     assert "more than 4300 decimal digits" in err
+
+
+def test_tree_roots_at_the_digit_limit(tmp_path, capsys):
+    import sys
+
+    from shellings.graphs import path_graph
+
+    # the total 2^2126 has 640 digits, the limit; the sum of the root
+    # counts, 2^2127, has 641, so the report must not quote it
+    path = write_graph(tmp_path, "p2128.txt", path_graph(2128).to_edge_list_text())
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, doc = run_json(capsys, "tree-roots", path)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert doc["results"]["total"] == str(2**2126)
+    assert [(c["name"], c["status"]) for c in doc["crossChecks"]] == \
+        [("half_sum_consistency", "pass")]
 
 
 @pytest.mark.parametrize("command,expected", [("bounds", 2), ("tree-roots", 2), ("count", 1)])
@@ -424,6 +508,48 @@ def test_verify_refuses_sweep_sizes_outside_the_enumeration_range(capsys, monkey
     assert code == 2
     assert out == ""
     assert err == f"error: sweep size must be 2 to 9, got {max_n}\n"
+
+
+@pytest.mark.parametrize("suite", ["bipartite", "oracle", "identities"])
+def test_verify_refuses_a_sweep_size_for_fixed_suites(capsys, monkeypatch, suite):
+    from shellings import sweeps
+
+    def never(*args):
+        raise AssertionError("ran a sweep for a refused size")
+
+    monkeypatch.setattr(sweeps, "run_suite", never)
+    code, out, err = run(capsys, "verify", suite, "--max-n", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_options(tmp_path, capsys):
+    # every subcommand's arguments; a new knob is a change to this test
+    import argparse
+
+    from shellings.cli import build_parser
+
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: sorted(a.option_strings[0] if a.option_strings else a.dest
+                     for a in parser._actions)
+        for name, parser in sub.choices.items()
+    }
+    assert options == {
+        "count": ["--brute", "--no-crosscheck", "-h", "file"],
+        "tree-roots": ["-h", "file"],
+        "formula": ["--max-stanley-terms", "-h", "family", "params"],
+        "bounds": ["-h", "file"],
+        "verify": ["--max-n", "-h", "suite"],
+        "gen": ["--seed", "-h", "kind", "params"],
+    }
+    # the DP's edge guard and its option are gone
+    path = write_graph(tmp_path, "p4.txt", "0 1\n1 2\n2 3\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["count", path, "--max-dp-edges", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-dp-edges" in capsys.readouterr().err
 
 
 def test_gen_outputs_parse(capsys):

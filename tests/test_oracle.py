@@ -62,13 +62,16 @@ def test_rooted_count_bad_vertex():
             rooted_counts_from_table(table, p4, v)
 
 
-def test_dp_guard():
-    with pytest.raises(GuardExceeded):
-        count_shellings_dp(complete_graph(7), max_edges=20)
-    assert count_shellings_dp(complete_graph(4), max_edges=6) == 576
+def test_dp_guard(monkeypatch):
+    # K_7's 21 layers hold a state each, so a budget of 20 refuses it up front
+    assert count_shellings_dp(complete_graph(7)) == closed_forms.complete_graph_count(7)
+    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 20)
+    with pytest.raises(GuardExceeded, match="budget"):
+        count_shellings_dp(complete_graph(7))
+    assert count_shellings_dp(complete_graph(4)) == 576
     # a disconnected graph has no shelling, whatever its size
     two_k7 = Graph.from_edges(14, [(u + s, v + s) for s in (0, 7) for u, v in complete_graph(7).edges])
-    assert count_shellings_dp(two_k7, max_edges=20) == 0
+    assert count_shellings_dp(two_k7) == 0
 
 
 def test_enumerate_basics():
@@ -78,8 +81,7 @@ def test_enumerate_basics():
     assert enumerate_shellings(Graph.from_edges(1, [])) == [()]
 
 
-def test_enumerate_limit_and_guard():
-    assert len(enumerate_shellings(complete_graph(3), limit=4)) == 4
+def test_enumerate_guard():
     with pytest.raises(GuardExceeded):
         enumerate_shellings(complete_graph(5))
 
@@ -236,8 +238,8 @@ def test_dp_matches_enumeration_on_random_connected_graphs(g):
 
 
 def test_dp_budget_counts_sparse_graphs_past_twenty_edges():
-    assert count_shellings_dp(cycle_graph(40), max_edges=40) == 40 * 2**38
-    assert count_shellings_dp(path_graph(41), max_edges=40) == 2**39
+    assert count_shellings_dp(cycle_graph(40)) == 40 * 2**38
+    assert count_shellings_dp(path_graph(41)) == 2**39
 
 
 def test_dp_budget_refuses_dense_graphs(monkeypatch):
@@ -272,11 +274,55 @@ def test_rooted_rerun_refused_past_budget(monkeypatch):
         build_subset_table(g)
 
 
+def test_dp_budget_charges_each_state_by_vertex_set_width(monkeypatch):
+    # every subpath is a state: 63 * 64 / 2 of them on 64 vertices, where a
+    # vertex set takes two 64-bit words, and 62 * 63 / 2 on 63 vertices
+    p64, p63 = path_graph(64), path_graph(63)
+    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 2 * 2016)
+    assert build_subset_table(p64).states == 2016
+    assert count_shellings_dp(p64) == 2**62
+    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 2 * 2016 - 1)
+    with pytest.raises(GuardExceeded, match="budget"):
+        count_shellings_dp(p64)
+    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 1953)
+    assert count_shellings_dp(p63) == 2**61
+    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 1952)
+    with pytest.raises(GuardExceeded, match="budget"):
+        count_shellings_dp(p63)
+
+
+def test_dp_budget_refuses_up_front_before_any_mask(monkeypatch):
+    def never(nbr):
+        raise AssertionError("built the DP's masks for a graph past the budget")
+
+    monkeypatch.setattr(oracle, "_twin_runs", never)
+    # one state per layer at two entries a state already passes 2 * 63 - 1
+    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 2 * 63 - 1)
+    with pytest.raises(GuardExceeded, match="budget"):
+        count_shellings_dp(path_graph(64))
+    with pytest.raises(GuardExceeded, match="budget"):
+        count_rooted_shellings_dp(path_graph(64), 0)
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle, "_twin_runs", never)
+    # 100,000 layers at 1,563 entries a state pass the default budget
+    with pytest.raises(GuardExceeded, match="budget"):
+        build_subset_table(cycle_graph(100000))
+
+
+def test_ten_leg_spider_matches_tree_count():
+    # ten 2-edge legs: 20 edges and 59,058 states, the most found at 20 edges
+    spider = Graph.from_edges(21, [e for i in range(10) for e in ((0, 2 * i + 1),
+                                                                  (2 * i + 1, 2 * i + 2))])
+    table = build_subset_table(spider)
+    assert table.states == 59058
+    assert table.total == count_shellings_dp(spider) == tree_count(spider)
+
+
 def test_state_counts_follow_the_covered_sets():
     # every subpath, every arc of a cycle plus (V, 39) and (V, 40): no twins;
     # the centre with any number of the star's leaves, all twins
     assert build_subset_table(path_graph(17)).states == 17 * 16 // 2
-    assert build_subset_table(cycle_graph(40), max_edges=40).states == 38 * 40 + 2
+    assert build_subset_table(cycle_graph(40)).states == 38 * 40 + 2
     assert build_subset_table(star_graph(12)).states == 11
     assert build_subset_table(star_graph(21)).states == 20
     # a of the 4 and b of the 5 covered, with a + b - 1 to a*b edges placed
@@ -339,7 +385,7 @@ def test_dp_matches_subset_reference_on_dense_7_vertex_graphs(extra):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_hook_formula_matches_dp_on_25_edge_trees(seed):
     g = random_tree(26, seed)
-    assert count_shellings_dp(g, max_edges=25) == tree_count(g)
+    assert count_shellings_dp(g) == tree_count(g)
     roots = all_root_counts(root_tree(g, 0))
     for v in (0, 13, 25):
-        assert count_rooted_shellings_dp(g, v, max_edges=25) == roots[v]
+        assert count_rooted_shellings_dp(g, v) == roots[v]
