@@ -69,7 +69,6 @@ from .identities import (
     verify_story,
 )
 from .oracle import (
-    count_rooted_shellings_dp,
     count_shellings_dp,
     enumerate_shellings,
 )

@@ -1,19 +1,21 @@
 """Brute-force shelling counters: one layered DP and an enumerator.
 
 A shelling is an ordering of all edges in which every prefix forms a
-connected subgraph.  An edge may extend a connected prefix S exactly when
-it touches V(S), the vertices S covers.  So the orderings that can follow
-S depend only on W = V(S) and k = |S|, and the DP runs over the states
-(W, k), holding for each the number of prefixes that reach it.  From
-(W, k) there are two kinds of step, each to a state with k + 1 edges:
+connected subgraph.  Fix the order x_1, x_2, ... in which a shelling
+first covers the vertices, and let b_i count the edges from x_i back to
+earlier vertices.  An edge order has this vertex order exactly when, for
+each i >= 2, an edge of block i comes first among blocks i, i+1, ...:
+the vertex-order form of the paper's sum over 0/1 sequences of
+prod b_i / prod (suffix sums of b), which holds for every graph.  So a
+DP state is the covered vertex set W alone, with one kind of step:
 
-* place one of the inner(W) - k unplaced edges with both ends in W:
-  (W, k) -> (W, k + 1), in inner(W) - k ways;
-* join a vertex x outside W with a neighbour in W:
-  (W, k) -> (W + x, k + 1), in |N(x) & W| ways (one per edge from x to W).
+* join a vertex x outside W with j = |N(x) & W| neighbours in W:
+  W -> W + x.  Of the left = m - inner(W) edges outside W, one of x's j
+  edges comes first and its other j - 1 fall anywhere among the rest,
+  so the join has weight j (left-1)! / (left-j)!.
 
-Each seed edge {u, v} starts the state ({u, v}, 1), and the count at
-(V(E), m) is the answer.  Seeding every edge gives the shelling count;
+Each seed edge {u, v} starts the state {u, v}, and the weighted count at
+V(E) is the answer.  Seeding every edge gives the shelling count;
 seeding the edges at v gives the shellings whose first edge touches v.
 
 Twins, two vertices with the same neighbours apart from each other (the
@@ -24,16 +26,17 @@ as a run of vertices, keeps W to a prefix of every run, and counts a
 join of the run's next vertex once for each of the run's vertices still
 outside W.  Each seed edge adds one to the count of its state, so
 seeding the edges at one vertex needs no symmetry of the counts.  Layer
-k is one dict from W to a single int that packs the count with inner(W)
-and W's frontier (the vertices outside W adjacent to it).  K_{4,5} takes
-80 states, the star K_{1,20} 20, and a 40-edge cycle, which has no
-twins, 1,522.
+|W| is one dict from W to a single int that packs the count with
+inner(W) and W's frontier (the vertices outside W adjacent to it).
+K_{4,5} takes 20 states, K_{12,12} 144, the star K_{1,20} 20, and a
+40-edge cycle, which has no twins, 1,521.
 
 MAX_DP_ENTRIES is the DP's one guard, for every caller.  A vertex set is
 an n-bit int, so each state created is charged n // 64 + 1 entries, and a
 run that would create more entries than the budget raises GuardExceeded.
-Each of a connected graph's m layers holds at least one state, so when m
-states alone pass the budget the DP is refused before any mask is built.
+Each of the n' - 1 layers of a connected graph with n' non-isolated
+vertices holds at least one state, so when n' - 1 states alone pass the
+budget the DP is refused before any mask is built.
 ``count`` reports the DP's time under the timing key ``dp``.
 
 These counters are the oracle every closed-form result is tested against,
@@ -44,12 +47,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bigmath import rising
 from .errors import GuardExceeded
 from .graphs import Graph, is_connected
 
 MAX_ENUM_EDGES = 8
-# Most entries one run of the DP may create: n // 64 + 1 per (W, k) state,
-# counting twins as one.
+# Most entries one run of the DP may create: n // 64 + 1 per covered vertex
+# set W, counting twins as one.
 MAX_DP_ENTRIES = 1 << 19
 
 
@@ -103,12 +107,12 @@ def _over_budget(g: Graph, cap: int) -> GuardExceeded:
 
 def _shelling_dp(g: Graph, root: int | None = None) -> tuple[int, int]:
     """Orderings of all edges with every prefix connected and the first
-    edge at ``root`` (anywhere when None), and the (W, k) states created."""
+    edge at ``root`` (anywhere when None), and the W states created."""
     m = g.num_edges
     if m == 0:
         return 1, 0
     cap = MAX_DP_ENTRIES // (g.num_vertices // 64 + 1)  # the most states allowed
-    if m > cap:
+    if len(set().union(*g.edges)) - 1 > cap:
         raise _over_budget(g, cap)
     nbr = [0] * g.num_vertices
     for u, v in g.edges:
@@ -144,29 +148,34 @@ def _shelling_dp(g: Graph, root: int | None = None) -> tuple[int, int]:
             w = 1 << a | 1 << b
             layer[w] = layer.get(w, 1 << n | (nbr[a] | nbr[b]) & ~w) + (1 << shift)
     created = len(layer)
-    for k in range(1, m):
+    weights = {}  # j (left-1)! / (left-j)! by (left, j), for j >= 2 as met
+    for _ in range(2, n):
         grown = {}
         room = cap - created
         for w, p in layer.items():
             ways = p - (p & low)  # the count, still shifted
             inner = (p & low) >> n
-            if inner > k:
-                grown[w] = grown.get(w, p & low) + ways * (inner - k)
-            frontier = p & vmask
             # only the next member of a run joins, for each of the rest of it
-            joins = frontier & (heads | w << 1)
+            joins = p & vmask & (heads | w << 1)
             while joins:
                 xb = joins & -joins
                 joins ^= xb
                 x = xb.bit_length() - 1
                 nx = nbr[x]
                 j = (nx & w).bit_count()
+                add = ways * rest[x]
+                if j > 1:
+                    left = m - inner
+                    weight = weights.get((left, j))
+                    if weight is None:
+                        weight = weights[left, j] = j * rising(left - j + 1, j - 1)
+                    add *= weight
                 w2 = w | xb
                 q = grown.get(w2)
                 if q is None:
-                    grown[w2] = ways * j * rest[x] | (inner + j) << n | (p | nx) & vmask & ~w2
+                    grown[w2] = add | (inner + j) << n | (p | nx) & vmask & ~w2
                 else:
-                    grown[w2] = q + ways * j * rest[x]
+                    grown[w2] = q + add
             if len(grown) > room:
                 raise _over_budget(g, cap)
         created += len(grown)
@@ -192,15 +201,6 @@ def count_shellings_dp(g: Graph) -> int:
     if not is_connected(g):
         return 0
     return build_subset_table(g).total
-
-
-def count_rooted_shellings_dp(g: Graph, v: int) -> int:
-    """Shellings whose first edge touches v; 0 if g is disconnected."""
-    if not 0 <= v < g.num_vertices:
-        raise ValueError(f"vertex {v} out of range")
-    if not is_connected(g):
-        return 0
-    return _shelling_dp(g, v)[0]
 
 
 def enumerate_shellings(g: Graph) -> list[tuple[int, ...]]:

@@ -150,14 +150,14 @@ def sweep_trees(max_n: int = DEFAULT_TREE_SWEEP_N) -> list[CheckOutcome]:
 
     for n in range(1, max_n + 1):
         expected = n ** (n - 2) if n >= 2 else 1
-        seen: set[tuple] = set()
-        for g in all_labeled_trees(n):
-            seen.add(g.edges)
+        count, distinct = 0, True  # distinct: tree i's Pruefer code is sequence i
+        codes = itertools.product(range(n), repeat=max(n - 2, 0))
+        for count, g in enumerate(all_labeled_trees(n), 1):
             tree_shape.record(is_connected(g) and g.num_edges == n - 1, "{}", g.edges)
             if n >= 2:
-                prufer_roundtrip.record(
-                    prufer_decode(prufer_encode(g), n) == g, "{}", g.edges
-                )
+                code = prufer_encode(g)
+                distinct = distinct and tuple(code) == next(codes, None)
+                prufer_roundtrip.record(prufer_decode(code, n) == g, "{}", g.edges)
             table = build_subset_table(g)
             dp = table.total
             total = tree_count(g)
@@ -183,7 +183,7 @@ def sweep_trees(max_n: int = DEFAULT_TREE_SWEEP_N) -> list[CheckOutcome]:
                     w = rt.parent[u]
                     ok = roots[u] * (n - size[u]) == roots[w] * size[u]
                     edge_ratio.record(ok, "{} edge ({},{})", g.edges, u, w)
-        enum_count.record(len(seen) == expected, "n={}: {} vs {}", n, len(seen), expected)
+        enum_count.record(count == expected and distinct, "n={}: {} vs {}", n, count, expected)
 
     path_anchor = check("path_total_is_power_of_two")
     path_roots = check("path_root_counts_are_binomials")

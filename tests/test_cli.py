@@ -70,7 +70,7 @@ def test_count_no_crosscheck(tmp_path, capsys):
 def test_count_guard_without_formula(tmp_path, capsys, monkeypatch):
     from shellings import oracle
 
-    # C_5's five layers take a state each, more than a budget of 4
+    # C_5's five seed states pass a budget of 4
     monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 4)
     path = write_graph(tmp_path, "c5.txt", "0 1\n1 2\n2 3\n3 4\n0 4\n")
     code, out, err = run(capsys, "count", path)
@@ -84,7 +84,7 @@ def test_count_formula_graph_refused_up_front(tmp_path, capsys, monkeypatch):
     # unchecked, as past the budget mid-run, and --brute is refused
     from shellings import oracle
 
-    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 3)
+    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 2)
     path = write_graph(tmp_path, "c4.txt", "0 1\n1 2\n2 3\n0 3\n")
     code, out, err = run(capsys, "count", path)
     assert code == 0
@@ -107,6 +107,18 @@ def test_count_cross_checks_complete_bipartite_past_twenty_edges(tmp_path, capsy
     assert doc["results"] == {"complete_bipartite": expected, "dp": expected}
     assert [(c["name"], c["status"]) for c in doc["crossChecks"]] == \
         [("dp_vs_complete_bipartite", "pass")]
+
+
+def test_count_cross_checks_the_largest_printable_complete_bipartite(tmp_path, capsys):
+    # F(K_{39,39}) has 4,161 digits, the most below the digit limit
+    _, text, _ = run(capsys, "gen", "kmn", "39", "39")
+    code, out, err = run(capsys, "count", write_graph(tmp_path, "k3939.txt", text))
+    assert code == 0
+    doc = json.loads(out)
+    assert "dp" in doc["results"]
+    assert [(c["name"], c["status"]) for c in doc["crossChecks"]] == \
+        [("dp_vs_complete_bipartite", "pass")]
+    assert "skipped" not in err
 
 
 def test_count_by_dp_past_twenty_edges(tmp_path, capsys):
@@ -217,13 +229,13 @@ def test_count_sparse_graph_past_twenty_edges(tmp_path, capsys):
 def test_count_dense_graph_past_budget_exit_code(tmp_path, capsys, monkeypatch):
     from shellings import oracle
 
-    # K_{3,5} plus an edge inside a part: no closed form, 76 DP states
+    # K_{3,5} plus an edge inside a part: no closed form, 26 DP states
     k35 = "".join(f"{i} {j}\n" for i in range(3) for j in range(3, 8))
     path = write_graph(tmp_path, "k35.txt", k35 + "0 1\n")
-    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 76)
+    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 26)
     code, doc = run_json(capsys, "count", path)
     assert code == 0 and "dp" in doc["results"]
-    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 75)
+    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 25)
     code, out, err = run(capsys, "count", path)
     assert code == 2
     assert out == ""
@@ -233,8 +245,8 @@ def test_count_dense_graph_past_budget_exit_code(tmp_path, capsys, monkeypatch):
 def test_count_formula_graph_past_budget_skips_crosscheck(tmp_path, capsys, monkeypatch):
     from shellings import oracle
 
-    # K_{3,5} takes 45 DP states
-    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 44)
+    # K_{3,5} takes 15 DP states
+    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 14)
     path = write_graph(tmp_path, "k35.txt", "".join(f"{i} {j}\n" for i in range(3) for j in range(3, 8)))
     code, out, err = run(capsys, "count", path)
     assert code == 0

@@ -18,7 +18,7 @@ from shellings.closed_forms import (
 )
 from shellings.errors import GuardExceeded
 from shellings.graphs import complete_bipartite_graph, complete_graph, path_graph
-from shellings.oracle import count_rooted_shellings_dp, count_shellings_dp
+from shellings.oracle import build_subset_table, count_shellings_dp, rooted_counts_from_table
 
 
 @pytest.mark.parametrize("n,expected", [(2, 1), (3, 6), (4, 576)])
@@ -97,7 +97,8 @@ def test_path_counts():
 
 def test_rooted_path_counts():
     assert rooted_path_count(6, 1) == 1
-    assert rooted_path_count(4, 2) == count_rooted_shellings_dp(path_graph(4), 1)
+    p4 = path_graph(4)
+    assert rooted_path_count(4, 2) == rooted_counts_from_table(build_subset_table(p4), p4, 1)
     assert rooted_path_count(5, 2) == rooted_path_count(5, 4) == 4
     with pytest.raises(ValueError):
         rooted_path_count(5, 6)

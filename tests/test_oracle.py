@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +18,6 @@ from shellings.graphs import (
 )
 from shellings.oracle import (
     build_subset_table,
-    count_rooted_shellings_dp,
     count_shellings_dp,
     enumerate_shellings,
     rooted_counts_from_table,
@@ -39,9 +39,10 @@ def test_degenerate_graphs():
 
 def test_rooted_counts_on_path():
     p4 = path_graph(4)
-    assert count_rooted_shellings_dp(p4, 0) == 1
-    assert count_rooted_shellings_dp(p4, 1) == 3
-    assert count_rooted_shellings_dp(p4, 3) == 1
+    table = build_subset_table(p4)
+    assert rooted_counts_from_table(table, p4, 0) == 1
+    assert rooted_counts_from_table(table, p4, 1) == 3
+    assert rooted_counts_from_table(table, p4, 3) == 1
 
 
 def test_rooted_count_star_center():
@@ -49,12 +50,14 @@ def test_rooted_count_star_center():
         expected = 1
         for i in range(1, n):
             expected *= i
-        assert count_rooted_shellings_dp(star_graph(n), 0) == expected
+        g = star_graph(n)
+        assert rooted_counts_from_table(build_subset_table(g), g, 0) == expected
 
 
 def test_rooted_count_bad_vertex():
+    p3 = path_graph(3)
     with pytest.raises(ValueError):
-        count_rooted_shellings_dp(path_graph(3), 5)
+        rooted_counts_from_table(build_subset_table(p3), p3, 5)
     p4 = path_graph(4)
     table = build_subset_table(p4)
     for v in (9, -1):
@@ -63,9 +66,9 @@ def test_rooted_count_bad_vertex():
 
 
 def test_dp_guard(monkeypatch):
-    # K_7's 21 layers hold a state each, so a budget of 20 refuses it up front
+    # K_7's 6 layers hold a state each, so a budget of 5 refuses it up front
     assert count_shellings_dp(complete_graph(7)) == closed_forms.complete_graph_count(7)
-    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 20)
+    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 5)
     with pytest.raises(GuardExceeded, match="budget"):
         count_shellings_dp(complete_graph(7))
     assert count_shellings_dp(complete_graph(4)) == 576
@@ -128,7 +131,7 @@ def test_rooted_sum_is_twice_total_on_trees():
 
 def test_subset_table_conventions():
     table = build_subset_table(path_graph(3))
-    # the ends are twins, so seeds {0,1} and {1,2} share a state; then ({0,1,2}, 2)
+    # the ends are twins, so seeds {0,1} and {1,2} share a state; then {0,1,2}
     assert (table.edge_count, table.total, table.states) == (2, 2, 2)
     # no twins: three seeds, the two 2-edge subpaths, the whole path
     table = build_subset_table(path_graph(4))
@@ -194,8 +197,8 @@ def twin_classes(g: Graph) -> list[int]:
 
 
 def covered_states(g: Graph, counts: list[int]) -> set[tuple]:
-    """(covered vertices of each twin class, size) of every nonempty subset
-    with a nonzero count: the DP's states, up to swapping twins."""
+    """Covered vertices of each twin class of every nonempty subset with a
+    nonzero count: the DP's states, up to swapping twins."""
     classes = twin_classes(g)
     states = set()
     for s, c in enumerate(counts):
@@ -204,7 +207,7 @@ def covered_states(g: Graph, counts: list[int]) -> set[tuple]:
             for e, (u, v) in enumerate(g.edges):
                 if s >> e & 1:
                     cover |= 1 << u | 1 << v
-            states.add((tuple((cover & t).bit_count() for t in classes), s.bit_count()))
+            states.add(tuple((cover & t).bit_count() for t in classes))
     return states
 
 
@@ -229,7 +232,6 @@ def test_dp_matches_enumeration_on_random_connected_graphs(g):
     rooted = []
     for v in range(g.num_vertices):
         expected = sum(1 for order in orders if v in g.edges[order[0]])
-        assert count_rooted_shellings_dp(g, v) == expected
         assert rooted_counts_from_table(table, g, v) == expected
         rooted.append(expected)
     if g.is_tree():
@@ -244,29 +246,30 @@ def test_dp_budget_counts_sparse_graphs_past_twenty_edges():
 
 def test_dp_budget_refuses_dense_graphs(monkeypatch):
     k35 = complete_bipartite_graph(3, 5)
-    assert build_subset_table(k35).states == 45
+    table = build_subset_table(k35)
+    assert table.states == 15
     rooted, rooted_states = oracle._shelling_dp(k35, 0)
-    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 45)
+    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 15)
     assert count_shellings_dp(k35) == closed_forms.complete_bipartite_count(3, 5)
-    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 44)
-    # a 15-edge star, its leaves all twins, takes one state per layer and fits
-    assert build_subset_table(star_graph(16)).states == 15
-    assert count_shellings_dp(star_graph(16)) == math.factorial(15)
+    monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 14)
+    # a 14-edge star, its leaves all twins, takes one state per layer and fits
+    assert build_subset_table(star_graph(15)).states == 14
+    assert count_shellings_dp(star_graph(15)) == math.factorial(14)
     with pytest.raises(GuardExceeded, match="budget"):
         count_shellings_dp(k35)
     monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", rooted_states)
-    assert count_rooted_shellings_dp(k35, 0) == rooted > 0
+    assert rooted_counts_from_table(table, k35, 0) == rooted > 0
     monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", rooted_states - 1)
     with pytest.raises(GuardExceeded, match="budget"):
-        count_rooted_shellings_dp(k35, 0)
+        rooted_counts_from_table(table, k35, 0)
 
 
 def test_rooted_rerun_refused_past_budget(monkeypatch):
     g = Graph.from_edges(8, complete_bipartite_graph(3, 5).edges + ((0, 1),))
     table = build_subset_table(g)
-    assert table.states == 76
+    assert table.states == 26
     rooted_states = oracle._shelling_dp(g, 3)[1]
-    assert rooted_states < 76
+    assert rooted_states < 26
     monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", rooted_states - 1)
     with pytest.raises(GuardExceeded, match="budget"):
         rooted_counts_from_table(table, g, 3)
@@ -295,13 +298,15 @@ def test_dp_budget_refuses_up_front_before_any_mask(monkeypatch):
     def never(nbr):
         raise AssertionError("built the DP's masks for a graph past the budget")
 
+    p64 = path_graph(64)
+    table = build_subset_table(p64)
     monkeypatch.setattr(oracle, "_twin_runs", never)
     # one state per layer at two entries a state already passes 2 * 63 - 1
     monkeypatch.setattr(oracle, "MAX_DP_ENTRIES", 2 * 63 - 1)
     with pytest.raises(GuardExceeded, match="budget"):
-        count_shellings_dp(path_graph(64))
+        count_shellings_dp(p64)
     with pytest.raises(GuardExceeded, match="budget"):
-        count_rooted_shellings_dp(path_graph(64), 0)
+        rooted_counts_from_table(table, p64, 0)
     monkeypatch.undo()
     monkeypatch.setattr(oracle, "_twin_runs", never)
     # 100,000 layers at 1,563 entries a state pass the default budget
@@ -319,19 +324,17 @@ def test_ten_leg_spider_matches_tree_count():
 
 
 def test_state_counts_follow_the_covered_sets():
-    # every subpath, every arc of a cycle plus (V, 39) and (V, 40): no twins;
+    # every subpath, every arc of a cycle plus V: no twins;
     # the centre with any number of the star's leaves, all twins
     assert build_subset_table(path_graph(17)).states == 17 * 16 // 2
-    assert build_subset_table(cycle_graph(40)).states == 38 * 40 + 2
+    assert build_subset_table(cycle_graph(40)).states == 38 * 40 + 1
     assert build_subset_table(star_graph(12)).states == 11
     assert build_subset_table(star_graph(21)).states == 20
-    # a of the 4 and b of the 5 covered, with a + b - 1 to a*b edges placed
-    assert build_subset_table(complete_bipartite_graph(4, 5)).states == sum(
-        a * b - (a + b - 1) + 1 for a in range(1, 5) for b in range(1, 6))
-    assert build_subset_table(complete_bipartite_graph(3, 5)).states == 45
-    # c of the 6 covered, with c - 1 to c(c-1)/2 edges placed
-    assert build_subset_table(complete_graph(6)).states == sum(
-        c * (c - 1) // 2 - (c - 1) + 1 for c in range(2, 7))
+    # a of the 4 and b of the 5 covered
+    assert build_subset_table(complete_bipartite_graph(4, 5)).states == 4 * 5
+    assert build_subset_table(complete_bipartite_graph(3, 5)).states == 15
+    # c of the 6 covered, for c = 2..6
+    assert build_subset_table(complete_graph(6)).states == 5
 
 
 def test_dp_matches_subset_reference_past_sixteen_edges():
@@ -355,17 +358,17 @@ def test_dp_matches_subset_reference_on_random_connected_graphs(g):
     for v in range(g.num_vertices):
         rooted = reference_subset_counts(g, edges_at(g, v))
         assert rooted_counts_from_table(table, g, v) == rooted[-1]
-        assert count_rooted_shellings_dp(g, v) == rooted[-1]
         assert oracle._shelling_dp(g, v)[1] == len(covered_states(g, rooted))
 
 
-@pytest.mark.parametrize("m,n", [(m, n) for m in range(2, 5) for n in range(m, 11) if m * n <= 20])
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(2, 5) for n in range(m, 11) if m * n <= 20]
+                         + [(20, 20), (30, 30), (40, 40)])
 def test_dp_matches_complete_bipartite_formula(m, n):
     assert count_shellings_dp(complete_bipartite_graph(m, n)) == \
         closed_forms.complete_bipartite_count(m, n)
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", [*range(2, 7), 30])
 def test_dp_matches_complete_graph_formula(n):
     assert count_shellings_dp(complete_graph(n)) == closed_forms.complete_graph_count(n)
 
@@ -387,5 +390,14 @@ def test_hook_formula_matches_dp_on_25_edge_trees(seed):
     g = random_tree(26, seed)
     assert count_shellings_dp(g) == tree_count(g)
     roots = all_root_counts(root_tree(g, 0))
+    table = build_subset_table(g)
     for v in (0, 13, 25):
-        assert count_rooted_shellings_dp(g, v) == roots[v]
+        assert rooted_counts_from_table(table, g, v) == roots[v]
+
+
+def test_star_join_weights_are_built_only_as_met():
+    # one leaf joins per layer, with a single edge into W: no weight table
+    # of degree by edges (25 M entries here) may be built up front
+    start = time.perf_counter()
+    assert count_shellings_dp(star_graph(5000)) == math.factorial(4999)
+    assert time.perf_counter() - start < 1.0

@@ -52,9 +52,9 @@ def test_root_tree_bushy_subtree_sizes():
     assert rt.subtree_size[1] == 6
     assert rt.subtree_size[2] == 1
     assert rt.subtree_size[3] == 7
-    from shellings.oracle import count_rooted_shellings_dp
+    from shellings.oracle import build_subset_table, rooted_counts_from_table
 
-    assert hook_count(rt) == count_rooted_shellings_dp(g, 0)
+    assert hook_count(rt) == rooted_counts_from_table(build_subset_table(g), g, 0)
 
 
 def test_hook_count_examples():
