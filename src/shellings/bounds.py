@@ -8,7 +8,9 @@ count, and both values are surfaced rather than silently reconciled.
 
 ``bound_report`` roots its tree once: that rooting is the tree check and
 supplies every root's count, every root's height, and the exact count as
-half their sum.
+half their sum; the report keeps it.  The transforms' cores
+(``push_branch_rooted``, ``pull_branch_rooted``) edit a rooting's parent
+array and hand back the new tree's rooting, so a sweep roots a tree once.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from fractions import Fraction
 from .bigmath import Nat, Rat, binomial, exact_div, factorial
 from .errors import NotATreeError
 from .graphs import Graph
-from .trees import RootedTree, all_root_counts, eccentricities, root_tree, tree_count
+from .trees import (RootedTree, all_root_counts, eccentricities, root_tree,
+                    rooted_from_parents, tree_count)
 
 
 def degree_lower_bound(g: Graph) -> tuple[Nat, bool]:
@@ -31,12 +34,16 @@ def degree_lower_bound(g: Graph) -> tuple[Nat, bool]:
     shape check, not a numeric comparison: a tree is a path when no degree
     exceeds 2 and a star when one vertex is adjacent to all others.
     """
-    n = g.num_vertices
-    if not g.is_tree() or n < 2:
+    if not g.is_tree() or g.num_vertices < 2:
         raise NotATreeError("degree_lower_bound requires a tree on >= 2 vertices")
-    degrees = [g.degree(v) for v in range(n)]
+    return _degree_bound(g)
+
+
+def _degree_bound(g: Graph) -> tuple[Nat, bool]:
+    """``degree_lower_bound`` for a g already known to be a tree on >= 2 vertices."""
+    degrees = [len(nbrs) for nbrs in g.adjacency]
     max_degree = max(degrees)
-    return math.prod(map(factorial, degrees)), (max_degree <= 2 or max_degree == n - 1)
+    return math.prod(map(factorial, degrees)), (max_degree <= 2 or max_degree == len(degrees) - 1)
 
 
 def diameter_upper_bound_printed(n: int, length: int) -> Rat:
@@ -118,22 +125,27 @@ def weight_bound_coefficient(g: Graph, v: int) -> Nat:
     return weight_bound_coefficients(n, [heights[v]])[0]
 
 
-def _diameter_rooting(g: Graph) -> RootedTree:
-    """g rooted at its smallest vertex of maximum eccentricity.
+def _diameter_rooting(g: Graph, rt: RootedTree, ecc) -> RootedTree:
+    """g rooted at its smallest vertex u of maximum eccentricity; ``rt`` if rooted at u.
 
     Every diameter path starts at a vertex of maximum eccentricity, so the
     lexicographically smallest one starts at the smallest such vertex and
     is that rooting's smallest deepest descending path.
     """
-    rt = root_tree(g, 0)
-    ecc = eccentricities(rt)
     u = ecc.index(max(ecc))
-    return rt if u == 0 else root_tree(g, u)
+    return rt if u == rt.root else root_tree(g, u)
 
 
 def longest_path(g: Graph) -> list[int]:
     """Lexicographically smallest diameter-realizing vertex sequence."""
-    return _descending_path(g, _diameter_rooting(g))
+    rt = root_tree(g, 0)
+    return _descending_path(g, _diameter_rooting(g, rt, eccentricities(rt)))
+
+
+def _as_graph(rt: RootedTree | None) -> Graph | None:
+    """A transform core's result as a Graph; None stays None."""
+    return None if rt is None else Graph.from_edges(
+        len(rt.parent), [(u, rt.parent[u]) for u in rt.order[1:]])
 
 
 def push_branch_from_root(g: Graph, v: int) -> Graph | None:
@@ -143,27 +155,22 @@ def push_branch_from_root(g: Graph, v: int) -> Graph | None:
     smallest i <= l-2 where p_i has a child v' off the path; v' becomes a
     leaf child of p_{i+1} and the former children of v' become children of
     p_{i+1}.  Returns None when no such i exists (fixpoint: every off-path
-    vertex hangs on p_{l-1}).
+    vertex hangs on p_{l-1}).  ``push_branch_rooted`` does the work on the
+    rooting at v.
     """
-    rt = root_tree(g, v)
+    return _as_graph(push_branch_rooted(g, root_tree(g, v)))
+
+
+def push_branch_rooted(g: Graph, rt: RootedTree) -> RootedTree | None:
+    """``push_branch_from_root`` on g's rooting ``rt``: the new tree, rooted alike, or None."""
     path = _descending_path(g, rt)
-    ell = len(path) - 1
     on_path = set(path)
-    for i in range(ell - 1):
-        p_i, p_next = path[i], path[i + 1]
-        branch_children = [
-            w for w in g.adjacency[p_i] if rt.parent[w] == p_i and w not in on_path
-        ]
-        if not branch_children:
-            continue
-        moved = min(branch_children)
-        grandchildren = [w for w in g.adjacency[moved] if rt.parent[w] == moved]
-        removed = {(min(moved, p_i), max(moved, p_i))}
-        removed.update((min(moved, c), max(moved, c)) for c in grandchildren)
-        edges = [e for e in g.edges if e not in removed]
-        edges.append((min(moved, p_next), max(moved, p_next)))
-        edges.extend((min(c, p_next), max(c, p_next)) for c in grandchildren)
-        return Graph.from_edges(g.num_vertices, edges)
+    for p_i, p_next in zip(path, path[1:-1]):
+        branch = [w for w in g.adjacency[p_i] if rt.parent[w] == p_i and w not in on_path]
+        if branch:
+            moved = branch[0]  # adjacency lists ascend
+            pushed = [p_next if moved in (u, p) else p for u, p in enumerate(rt.parent)]
+            return rooted_from_parents(pushed, rt.root)
     return None
 
 
@@ -191,39 +198,35 @@ def pull_branch_toward_middle(g: Graph) -> Graph | None:
     smallest branching index i < l//2 shifts its pendants to p_{i+1},
     otherwise the largest branching index j > l//2 shifts its pendants to
     p_{j-1}.  Fixpoint: all pendants on p_{l//2}, the mid-spider shape.
+    ``pull_branch_rooted`` does the work on the rooting at 0.
     """
-    n = g.num_vertices
-    rt = _diameter_rooting(g)
+    rt = root_tree(g, 0)
+    return _as_graph(pull_branch_rooted(g, rt, eccentricities(rt)))
+
+
+def pull_branch_rooted(g: Graph, rt: RootedTree, ecc) -> RootedTree | None:
+    """``pull_branch_toward_middle`` from a rooting ``rt`` of g and g's
+    eccentricities: the pulled tree rooted at p0, or None at the fixpoint."""
+    rt = _diameter_rooting(g, rt, ecc)
     path = _descending_path(g, rt)
     ell = len(path) - 1
-    if ell <= 1 or ell == n - 1:
+    if ell <= 1 or ell == g.num_vertices - 1:
         return None
 
     attach = _nearest_path_vertex(rt, path)
-    normalized = [(i, j) for i, j in zip(path, path[1:])]
-    normalized.extend((u, a) for u, a in attach.items())
-    candidate = Graph.from_edges(n, normalized)
-    if candidate != g:
-        return candidate
+    if any(rt.parent[u] != a for u, a in attach.items()):
+        return rooted_from_parents([attach.get(u, p) for u, p in enumerate(rt.parent)], rt.root)
 
-    pendants_at: dict[int, list[int]] = {}
-    for u, a in attach.items():
-        pendants_at.setdefault(path.index(a), []).append(u)
-    mid = ell // 2
-    branch_indices = sorted(pendants_at)
-    if branch_indices and branch_indices[0] < mid:
-        src = branch_indices[0]
-        dst = src + 1
-    elif branch_indices and branch_indices[-1] > mid:
-        src = branch_indices[-1]
-        dst = src - 1
+    # normalized: each off-path vertex is a pendant; ell < n - 1, so one exists
+    branch_indices = sorted(path.index(a) for a in attach.values())
+    if branch_indices[0] < ell // 2:
+        src, dst = path[branch_indices[0]], path[branch_indices[0] + 1]
+    elif branch_indices[-1] > ell // 2:
+        src, dst = path[branch_indices[-1]], path[branch_indices[-1] - 1]
     else:
         return None
-    src_v, dst_v = path[src], path[dst]
-    moved = set(pendants_at[src])
-    edges = [e for e in g.edges if not (set(e) & moved)]
-    edges.extend((min(u, dst_v), max(u, dst_v)) for u in moved)
-    return Graph.from_edges(n, edges)
+    pulled = [dst if u in attach and p == src else p for u, p in enumerate(rt.parent)]
+    return rooted_from_parents(pulled, rt.root)
 
 
 def is_mid_spider_shape(g: Graph) -> bool:
@@ -250,7 +253,7 @@ class BoundReport:
     """All bound values for one tree, side by side with the exact count.
 
     ``root_counts[v]`` and ``heights[v]`` are the count and height of the
-    tree rooted at v.
+    tree rooted at v; ``rooting`` is the tree rooted at 0 they came from.
     """
 
     exact: Nat
@@ -262,6 +265,7 @@ class BoundReport:
     per_root_weight_bounds: tuple[Nat, ...]
     root_counts: tuple[Nat, ...]
     heights: tuple[int, ...]
+    rooting: RootedTree
 
     @property
     def printed_vs_extremal_gap(self) -> Rat:
@@ -269,10 +273,12 @@ class BoundReport:
 
 
 @functools.cache
-def _diameter_bounds(n: int, diameter: int) -> tuple[Rat, Nat]:
-    """(printed diameter bound, mid-spider count) for n vertices, diameter l."""
+def _diameter_bounds(n: int, diameter: int) -> tuple[Rat, Nat, tuple[Nat, ...]]:
+    """(printed diameter bound, mid-spider count, weight-bound coefficient
+    of each height 0..l) for n vertices, diameter l."""
     spider_exact = tree_count(mid_spider(n, diameter)) if diameter >= 2 else 1
-    return diameter_upper_bound_printed(n, diameter), spider_exact
+    coeffs = tuple(weight_bound_coefficients(n, range(diameter + 1)))
+    return diameter_upper_bound_printed(n, diameter), spider_exact, coeffs
 
 
 def bound_report(g: Graph) -> BoundReport:
@@ -283,10 +289,10 @@ def bound_report(g: Graph) -> BoundReport:
     rt = root_tree(g, 0)
     roots = all_root_counts(rt)
     exact = exact_div(sum(roots), 2, "sum of rooted counts must be even")
-    lower, predicted = degree_lower_bound(g)
+    lower, predicted = _degree_bound(g)
     heights = eccentricities(rt)
     diameter = max(heights)
-    printed, spider_exact = _diameter_bounds(n, diameter)
-    coeffs = tuple(weight_bound_coefficients(n, heights))
+    printed, spider_exact, by_height = _diameter_bounds(n, diameter)
+    coeffs = tuple(by_height[h] for h in heights)
     return BoundReport(exact, lower, predicted, diameter, printed, spider_exact, coeffs,
-                       tuple(roots), tuple(heights))
+                       tuple(roots), tuple(heights), rt)

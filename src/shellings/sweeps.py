@@ -21,8 +21,10 @@ from .bounds import (
     double_broom,
     is_mid_spider_shape,
     longest_descending_path,
+    pull_branch_rooted,
     pull_branch_toward_middle,
     push_branch_from_root,
+    push_branch_rooted,
 )
 from .errors import GuardExceeded
 from .graphs import (
@@ -238,7 +240,6 @@ def sweep_bounds(max_n: int = DEFAULT_BOUND_SWEEP_N) -> list[CheckOutcome]:
 
     gaps: dict[tuple[int, int], Fraction] = {}
     for n in range(2, max_n + 1):
-        exhaustive_roots = n <= 6
         for g in all_labeled_trees(n):
             br = bound_report(g)
             count, roots, heights = br.exact, br.root_counts, br.heights
@@ -254,25 +255,22 @@ def sweep_bounds(max_n: int = DEFAULT_BOUND_SWEEP_N) -> list[CheckOutcome]:
             spider_bound.record(count <= br.mid_spider_exact, "{}", g.edges)
             printed_bound.record(count <= br.diameter_upper_printed, "{}", g.edges)
 
-            for v in range(n) if exhaustive_roots else (0,):
-                pushed = push_branch_from_root(g, v)
-                if pushed is None:
+            for v in range(n) if n <= 6 else (0,):
+                pr = push_branch_rooted(g, br.rooting if v == 0 else root_tree(g, v))
+                if pr is None:
                     continue
-                pr = root_tree(pushed, v)
                 push_mono.record(
                     _weight_sum_not_decreased(roots, all_root_counts(pr), v),
                     "{} root {}", g.edges, v,
                 )
                 push_shape.record(
-                    pushed.num_vertices == n and heights[v] == pr.height[v],
+                    len(pr.order) == n and heights[v] == pr.height[v],
                     "{} root {}", g.edges, v,
                 )
 
-            pulled = pull_branch_toward_middle(g)
+            pulled = pull_branch_rooted(g, br.rooting, heights)
             if pulled is not None:
-                pull_mono.record(
-                    sum(all_root_counts(root_tree(pulled, 0))) >= sum(roots), "{}", g.edges
-                )
+                pull_mono.record(sum(all_root_counts(pulled)) >= sum(roots), "{}", g.edges)
 
             if n <= 6:
                 cur = _fixpoint(pull_branch_toward_middle, g)

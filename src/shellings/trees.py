@@ -16,7 +16,9 @@ division.
 NotATreeError, any graph that is not a tree.  ``hook_count``,
 ``all_root_counts`` and ``eccentricities`` take a ``RootedTree``, so a
 caller roots once and reads subtree sizes, heights, every root's count
-and every root's height from that one rooting.
+and every root's height from that one rooting.  ``rooted_from_parents``
+builds the same rooting from a parent array alone, for a tree that a
+transform made from another tree's rooting; it builds no ``Graph``.
 """
 
 from __future__ import annotations
@@ -65,6 +67,25 @@ def root_tree(g: Graph, v: int) -> RootedTree:
                 order.append(w)
     if len(order) < n:
         raise NotATreeError("root_tree requires a tree; the graph is disconnected")
+    return _sized(v, parent, order)
+
+
+def rooted_from_parents(parent, root: int) -> RootedTree:
+    """The rooting with parent array ``parent``; children ascend, so
+    ``order`` is the BFS order ``root_tree`` gives for that tree and root."""
+    children: list[list[int]] = [[] for _ in parent]
+    for u, p in enumerate(parent):
+        if u != root:
+            children[p].append(u)
+    order = [root]
+    for u in order:
+        order.extend(children[u])
+    return _sized(root, parent, order)
+
+
+def _sized(root: int, parent, order: list[int]) -> RootedTree:
+    """Subtree sizes and heights, bottom-up along ``order``."""
+    n = len(parent)
     size = [1] * n
     height = [0] * n
     for u in reversed(order[1:]):
@@ -72,7 +93,7 @@ def root_tree(g: Graph, v: int) -> RootedTree:
         size[p] += size[u]
         if height[u] >= height[p]:
             height[p] = height[u] + 1
-    return RootedTree(v, tuple(parent), tuple(size), tuple(order), tuple(height))
+    return RootedTree(root, tuple(parent), tuple(size), tuple(order), tuple(height))
 
 
 def eccentricities(rt: RootedTree) -> list[int]:

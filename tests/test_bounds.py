@@ -29,7 +29,13 @@ from shellings.graphs import (
     star_graph,
 )
 from shellings.sweeps import sweep_bounds
-from shellings.trees import all_root_counts, eccentricities, root_tree, tree_count
+from shellings.trees import (
+    all_root_counts,
+    eccentricities,
+    root_tree,
+    rooted_from_parents,
+    tree_count,
+)
 
 from bfs_reference import bfs_distances
 
@@ -60,6 +66,66 @@ def reference_longest_path(g):
             if best is None or cand < best:
                 best = cand
     return list(best)
+
+
+def reference_push(g, v):
+    """``push_branch_from_root`` by edge-set surgery on g."""
+    rt = root_tree(g, v)
+    path = longest_descending_path(g, v)
+    on_path = set(path)
+    for i in range(len(path) - 2):
+        p_i, p_next = path[i], path[i + 1]
+        branch_children = [
+            w for w in g.adjacency[p_i] if rt.parent[w] == p_i and w not in on_path
+        ]
+        if not branch_children:
+            continue
+        moved = min(branch_children)
+        grandchildren = [w for w in g.adjacency[moved] if rt.parent[w] == moved]
+        removed = {(min(moved, p_i), max(moved, p_i))}
+        removed.update((min(moved, c), max(moved, c)) for c in grandchildren)
+        edges = [e for e in g.edges if e not in removed]
+        edges.append((moved, p_next))
+        edges.extend((c, p_next) for c in grandchildren)
+        return Graph.from_edges(g.num_vertices, edges)
+    return None
+
+
+def reference_pull(g):
+    """``pull_branch_toward_middle`` by edge-set surgery on g."""
+    n = g.num_vertices
+    path = longest_path(g)
+    ell = len(path) - 1
+    if ell <= 1 or ell == n - 1:
+        return None
+    rt = root_tree(g, path[0])
+    on_path = set(path)
+    attach = {}  # off-path vertex -> the path vertex its branch hangs on
+    for u in rt.order:
+        if u not in on_path:
+            p = rt.parent[u]
+            attach[u] = p if p in on_path else attach[p]
+    candidate = Graph.from_edges(n, list(zip(path, path[1:])) + list(attach.items()))
+    if candidate != g:
+        return candidate
+
+    pendants_at = {}
+    for u, a in attach.items():
+        pendants_at.setdefault(path.index(a), []).append(u)
+    mid = ell // 2
+    branch_indices = sorted(pendants_at)
+    if branch_indices and branch_indices[0] < mid:
+        src = branch_indices[0]
+        dst = src + 1
+    elif branch_indices and branch_indices[-1] > mid:
+        src = branch_indices[-1]
+        dst = src - 1
+    else:
+        return None
+    moved = set(pendants_at[src])
+    edges = [e for e in g.edges if not (set(e) & moved)]
+    edges.extend((u, path[dst]) for u in moved)
+    return Graph.from_edges(n, edges)
 
 
 def reference_weight_coefficient(g, v):
@@ -216,6 +282,13 @@ def test_weight_bound_coefficient_matches_bfs_eccentricity():
             )
 
 
+def test_bound_report_weight_bounds_match_bfs_eccentricity():
+    for g in _trees_for_rerooting():
+        if g.num_vertices >= 2:
+            expected = tuple(reference_weight_coefficient(g, v) for v in range(g.num_vertices))
+            assert bound_report(g).per_root_weight_bounds == expected, g.edges
+
+
 def test_eccentricities_from_any_rooting():
     for n in (1, 2, 9, 40):
         for seed in range(3):
@@ -225,6 +298,23 @@ def test_eccentricities_from_any_rooting():
                 rt = root_tree(g, r)
                 assert eccentricities(rt) == expected
                 assert rt.height[r] == expected[r]
+
+
+def test_transforms_match_edge_set_references():
+    for n in range(1, 8):
+        for g in all_labeled_trees(n):
+            for v in range(n):
+                assert push_branch_from_root(g, v) == reference_push(g, v), (g.edges, v)
+            assert pull_branch_toward_middle(g) == reference_pull(g), g.edges
+
+
+def test_rooted_from_parents_matches_root_tree():
+    trees = [g for n in range(1, 7) for g in all_labeled_trees(n)]
+    trees += [random_tree(200, seed) for seed in range(4)]
+    for g in trees:
+        for v in range(g.num_vertices):
+            rt = root_tree(g, v)
+            assert rooted_from_parents(rt.parent, rt.root) == rt, (g.edges, v)
 
 
 def test_push_branch_examples():
