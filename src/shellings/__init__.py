@@ -5,17 +5,16 @@ forms a connected subgraph.  This package counts them exactly: a layered
 dynamic program usable as ground truth on small graphs, closed forms for
 complete and complete bipartite graphs, hook-product machinery for trees,
 degree/diameter bounds with their extremal shapes and transforms, and
-exact verifiers for the supporting binomial and Gamma-product identities.
+exact verifiers for the supporting binomial and telescoping Gamma-ratio
+identities.
 """
 
 from .bigmath import (
-    GammaProduct,
     Nat,
     Rat,
     binomial,
     catalan,
     factorial,
-    gamma_product_reduce,
     gbinom_int_diff,
     gbinom_lower_int,
 )

@@ -1,24 +1,23 @@
-"""Exact verification of the supporting binomial and Gamma-product
-identities, instance by instance over rational parameters.
+"""Exact verification of the supporting binomial and telescoping
+Gamma-ratio identities, instance by instance over rational parameters.
 
 Each verifier evaluates both sides of one identity with exact arithmetic
-(generalized binomials via their rising/falling product forms, Gamma
-ratios via the symbolic reducer) and reports whether they agree.  Nothing
-here is floated; a mismatch surfaces both reduced sides for diagnosis.
+(generalized binomials via their rising/falling product forms; a ratio of
+Gammas whose arguments differ by an integer via one rising product) and
+reports whether they agree.  The induction identity's sums over ascending
+index tuples are evaluated as a transfer over (j, r_j).  Nothing here is
+floated; a mismatch surfaces both sides for diagnosis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 from .bigmath import (
-    GammaProduct,
     Rat,
     binomial,
     factorial,
-    gamma_product_reduce,
     gbinom_int_diff,
     gbinom_lower_int,
     rising,
@@ -137,61 +136,64 @@ def verify_induction_lemma(m: int, n: int, k: int, s: int, ell: int) -> Identity
     return _case("induction_lemma", params, lhs, rhs)
 
 
-MAX_INDUCTION_TUPLES = 10**5
+# Bound on the transfer's work: (n-1) m^2 pair steps, each on rationals
+# about as long as (mn)!, the largest factorial in play.
+MAX_INDUCTION_WORK = 10**8
 
 
-def _ratio_factor(m: int, n: int, j: int, r_j: int) -> GammaProduct:
-    """The j-th telescoping factor (r_j - j + 1) G(mn/j + j-1-r_j) / G(mn/(j+1) + j-r_j)."""
+def _telescoped_chain(m: int, n: int, length: int) -> dict[int, Rat]:
+    """Sum of the telescoped factor chain over ascending r_1 < ... < r_length,
+    keyed by the last index r_length.
+
+    Factor j is R_j = (r_j - j + 1) G(mn/j + j-1-r_j) / G(mn/(j+1) + j-r_j).
+    Neighbouring Gammas G(mn/(j+1) + j - r_{j+1}) / G(mn/(j+1) + j - r_j)
+    differ by the integer r_{j+1} - r_j, so each step divides by one rising
+    product.  Each value is prod_{j <= length} R_j with its last denominator
+    G(mn/(length+1) + length - r_length) cancelled; length 0 is r_0 = 0 with
+    the value G(mn).  The bound r_j <= m + j - 1 keeps every argument positive.
+    """
     mn = m * n
-    return GammaProduct(
-        Fraction(r_j - j + 1),
-        (Fraction(mn, j) + j - 1 - r_j,),
-        (Fraction(mn, j + 1) + j - r_j,),
-    )
-
-
-def _reduce_to_rat(gp: GammaProduct, context: str) -> Rat:
-    reduced = gamma_product_reduce(gp)
-    if isinstance(reduced, GammaProduct):
-        raise ValueError(f"irreducible Gamma remainder in {context}: {reduced}")
-    return reduced
+    chain = {0: Fraction(factorial(mn - 1))}
+    for j in range(length):
+        top = Fraction(mn, j + 1) + j
+        chain = {
+            r2: (r2 - j) * sum(v / rising(top - r2, r2 - r) for r, v in chain.items() if r < r2)
+            for r2 in range(j + 1, m + j + 1)
+        }
+    return chain
 
 
 def induction_theorem_sides(m: int, n: int, k: int) -> tuple[Rat, Rat]:
     """Both sides of the partially collapsed telescoping-sum identity.
 
-    The full side sums prod_{j<n} R_j over ascending (n-1)-tuples from
-    {1..m+n-2}; the collapsed side sums over ascending k-tuples from
-    {1..m+k-1} with the tail of the product replaced by one factorial
-    ratio and one generalized binomial.  Every term's Gamma factors pair
-    up to integer offsets, so each term reduces to an exact rational.
+    The full side sums (1/(n-1)!) prod_{j<n} R_j over ascending
+    (n-1)-tuples from {1..m+n-2}; the collapsed side sums over ascending
+    k-tuples from {1..m+k-1}, keeping R_j for j < k and replacing the tail
+    by G(m(n-k)/k), one factorial ratio and one generalized binomial.  Both
+    are summed as a transfer over (j, r_j), not tuple by tuple.
     """
     if not (m >= 1 and n >= 2 and 1 <= k <= n - 1):
         raise ValueError(f"illegal parameters (m={m}, n={n}, k={k})")
-    if binomial(m + n - 2, n - 1) > MAX_INDUCTION_TUPLES:
-        raise GuardExceeded(f"too many index tuples for (m={m}, n={n})")
     mn = m * n
+    if (n - 1) * m * m * mn > MAX_INDUCTION_WORK:
+        raise GuardExceeded(f"induction transfer work past {MAX_INDUCTION_WORK} for (m={m}, n={n})")
 
-    lhs = Fraction(0)
-    for rs in combinations(range(1, m + n - 1), n - 1):
-        term = GammaProduct(Fraction(1, factorial(n - 1)))
-        for j, r_j in enumerate(rs, start=1):
-            term = term.times(_ratio_factor(m, n, j, r_j))
-        lhs += _reduce_to_rat(term, f"lhs term rs={rs}")
+    full = _telescoped_chain(m, n, n - 1)
+    lhs = sum(v / factorial(m + n - 2 - r) for r, v in full.items()) / factorial(n - 1)
 
+    # G(m(n-k)/k) / G(mn/k + k-1 - r_{k-1}) = 1 / rising(m(n-k)/k, m+k-1 - r_{k-1})
+    low = Fraction(m * (n - k), k)
+    tail = {r: v / rising(low, m + k - 1 - r) for r, v in _telescoped_chain(m, n, k - 1).items()}
     coeff0 = Fraction(
         factorial(m + k), factorial(m + n - 1) * factorial(k) * factorial(n - k - 1)
     )
-    rhs = Fraction(0)
-    for rs in combinations(range(1, m + k), k):
-        r_k = rs[-1]
+    rhs = before = Fraction(0)
+    for r_k in range(k, m + k):
+        before += tail.get(r_k - 1, 0)
         scalar = (r_k - k + 1) * rising(r_k + 2, n - k - 1) * gbinom_int_diff(
-            Fraction(mn, k) + k - 2 - r_k, Fraction(m * (n - k), k) - 1
+            Fraction(mn, k) + k - 2 - r_k, low - 1
         )
-        term = GammaProduct(scalar, (Fraction(m * (n - k), k),), ())
-        for j, r_j in enumerate(rs[:-1], start=1):
-            term = term.times(_ratio_factor(m, n, j, r_j))
-        rhs += _reduce_to_rat(term, f"rhs term rs={rs}")
+        rhs += scalar * before
     return lhs, coeff0 * rhs
 
 

@@ -6,12 +6,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from shellings.bigmath import (
-    GammaProduct,
     binomial,
     catalan,
     exact_div,
     factorial,
-    gamma_product_reduce,
     gbinom_int_diff,
     gbinom_lower_int,
     rising,
@@ -117,48 +115,3 @@ def test_rational_arithmetic_associative_commutative(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a + b == b + a
     assert a * b == b * a
-
-
-def test_gamma_reduce_pochhammer():
-    gp = GammaProduct(Fraction(1), (Fraction(7, 2),), (Fraction(3, 2),))
-    assert gamma_product_reduce(gp) == Fraction(15, 4)
-
-
-def test_gamma_reduce_identity_and_integers():
-    same = GammaProduct(Fraction(1), (Fraction(5, 3),), (Fraction(5, 3),))
-    assert gamma_product_reduce(same) == 1
-    doubled = GammaProduct(Fraction(2), (Fraction(5),), (Fraction(3),))
-    assert gamma_product_reduce(doubled) == 24
-    lone = GammaProduct(Fraction(1), (Fraction(5),), ())
-    assert gamma_product_reduce(lone) == 24
-
-
-def test_gamma_reduce_reversed_offset():
-    gp = GammaProduct(Fraction(1), (Fraction(3, 2),), (Fraction(7, 2),))
-    assert gamma_product_reduce(gp) == Fraction(4, 15)
-
-
-def test_gamma_reduce_irreducible_remainder():
-    gp = GammaProduct(Fraction(3), (Fraction(1, 3),), (Fraction(1, 2),))
-    out = gamma_product_reduce(gp)
-    assert isinstance(out, GammaProduct)
-    assert out.numer == (Fraction(1, 3),)
-    assert out.denom == (Fraction(1, 2),)
-
-
-def test_gamma_rejects_nonpositive_arguments():
-    with pytest.raises(ValueError):
-        GammaProduct(Fraction(1), (Fraction(0),), ())
-    with pytest.raises(ValueError):
-        GammaProduct(Fraction(1), (), (Fraction(-1, 2),))
-
-
-@given(st.randoms(use_true_random=False))
-def test_gamma_reduce_order_independent(rnd):
-    numer = [Fraction(9, 2), Fraction(11, 3), Fraction(7), Fraction(5, 2)]
-    denom = [Fraction(3, 2), Fraction(2, 3), Fraction(4), Fraction(1, 2)]
-    expected = gamma_product_reduce(GammaProduct(Fraction(5, 7), tuple(numer), tuple(denom)))
-    rnd.shuffle(numer)
-    rnd.shuffle(denom)
-    shuffled = gamma_product_reduce(GammaProduct(Fraction(5, 7), tuple(numer), tuple(denom)))
-    assert shuffled == expected

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from shellings.bigmath import factorial, gbinom_int_diff, rising
 from shellings.errors import GuardExceeded
 from shellings.identities import (
     induction_lemma_limits,
@@ -115,6 +117,61 @@ def test_induction_theorem_k1_reaches_closed_form():
 def test_induction_theorem_middle_k():
     assert verify_induction_theorem(3, 3, 2).holds
     assert verify_induction_theorem(4, 4, 2).holds
+
+
+def _reference_chain(m, n, rs):
+    """prod_j R_j over the ascending tuple rs, with the last Gamma denominator
+    cancelled, telescoped in closed form: prod (r_j - j + 1) (mn - r_1 - 1)!
+    / prod rising(mn/(j+1) + j - r_{j+1}, r_{j+1} - r_j)."""
+    term = Fraction(factorial(m * n - rs[0] - 1))
+    for j, r_j in enumerate(rs, start=1):
+        term *= r_j - j + 1
+    for j, (r_j, r_next) in enumerate(zip(rs, rs[1:]), start=1):
+        term /= rising(Fraction(m * n, j + 1) + j - r_next, r_next - r_j)
+    return term
+
+
+def reference_induction_sides(m, n, k):
+    """Both sides of the induction identity summed tuple by tuple."""
+    lhs = sum(
+        _reference_chain(m, n, rs) / factorial(m + n - 2 - rs[-1])
+        for rs in combinations(range(1, m + n - 1), n - 1)
+    ) / factorial(n - 1)
+    low = Fraction(m * (n - k), k)
+    rhs = Fraction(0)
+    for rs in combinations(range(1, m + k), k):
+        r_k = rs[-1]
+        if k == 1:
+            head = Fraction(factorial(m * (n - 1) - 1))
+        else:
+            head = _reference_chain(m, n, rs[:-1]) / rising(low, m + k - 1 - rs[-2])
+        rhs += head * (r_k - k + 1) * rising(r_k + 2, n - k - 1) * gbinom_int_diff(
+            Fraction(m * n, k) + k - 2 - r_k, low - 1
+        )
+    coeff0 = Fraction(factorial(m + k), factorial(m + n - 1) * factorial(k) * factorial(n - k - 1))
+    return lhs, coeff0 * rhs
+
+
+def test_induction_theorem_transfer_matches_tuple_sums():
+    for m in range(1, 6):
+        for n in range(2, 6):
+            for k in range(1, n):
+                assert induction_theorem_sides(m, n, k) == reference_induction_sides(m, n, k)
+
+
+def test_induction_theorem_holds_up_to_ten():
+    for m in range(1, 11):
+        for n in range(2, 11):
+            closed = Fraction(factorial(m * n), factorial(m + n - 1))
+            for k in range(1, n):
+                lhs, rhs = induction_theorem_sides(m, n, k)
+                assert lhs == rhs == closed, (m, n, k)
+
+
+@pytest.mark.parametrize("m, n, k", [(0, 3, 1), (2, 1, 1), (2, 3, 0), (2, 3, 3)])
+def test_induction_theorem_rejects_illegal_parameters(m, n, k):
+    with pytest.raises(ValueError):
+        induction_theorem_sides(m, n, k)
 
 
 def test_induction_theorem_guard():
