@@ -32,7 +32,6 @@ from .bounds import (
     weight_bound_coefficients,
 )
 from .closed_forms import (
-    b_sequence,
     complete_bipartite_count,
     complete_graph_count,
     path_count,

@@ -183,7 +183,7 @@ def cmd_formula(args: argparse.Namespace) -> int:
         elif args.family == "stanley":
             m, n = p
             inner = _timed(report.timing, "stanley",
-                           lambda: closed_forms.stanley_inner_sum(m, n, args.max_stanley_terms))
+                           lambda: closed_forms.stanley_inner_sum(m, n))
             report.add_result("stanley", closed_forms._stanley_count_from_sum(m, n, inner))
             report.add_result("stanley_inner_sum", inner)
         elif args.family == "path":
@@ -301,8 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_formula = sub.add_parser("formula", help="evaluate a closed-form count")
     p_formula.add_argument("family", choices=["kn", "kmn", "stanley", "path"])
     p_formula.add_argument("params", type=int, nargs="+")
-    p_formula.add_argument("--max-stanley-terms", type=int,
-                           default=closed_forms.DEFAULT_MAX_STANLEY_TERMS)
     p_formula.set_defaults(func=cmd_formula)
 
     p_bounds = sub.add_parser("bounds", help="bound report for a tree")

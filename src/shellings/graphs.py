@@ -3,10 +3,11 @@
 Graphs are undirected and simple, with vertices 0..n-1 and a canonical
 edge list (each pair (u, v) with u < v, list sorted, duplicate-free), so
 graph equality is plain tuple equality.  Each fact about a graph is
-settled by one check: connectivity by one traversal, kept on the graph;
-K_{m,n} by one pass over the edges in ``classify``; tree-ness by the
-rooting pass (``trees.root_tree``).  Labeled trees are generated through
-Prufer sequences, exhaustively or at random from a splitmix64 stream.
+settled by one check: connectivity by the edge count or one traversal,
+kept on the graph; K_{m,n} by one pass over the edges in ``classify``;
+tree-ness by the rooting pass (``trees.root_tree``).  Labeled trees are
+generated through Prufer sequences, exhaustively or at random from a
+splitmix64 stream.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ class Graph:
         n = self.num_vertices
         if n <= 1:
             return True
+        if self.num_edges < n - 1:  # too few edges to span: no traversal
+            return False
         seen = [False] * n
         seen[0] = True
         stack = [0]

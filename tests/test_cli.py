@@ -50,6 +50,19 @@ def test_count_disconnected(tmp_path, capsys):
     assert doc["results"] == {"connectivity": "0"}
 
 
+def test_count_on_a_million_vertices_with_one_edge_builds_no_adjacency(tmp_path, capsys, monkeypatch):
+    from shellings import cli
+
+    graphs, read = [], cli._read_graph
+    monkeypatch.setattr(cli, "_read_graph", lambda path: graphs.append(read(path)) or graphs[-1])
+    path = write_graph(tmp_path, "sparse.txt", "n 1000000\n0 1\n")
+    code, doc = run_json(capsys, "count", path)
+    assert code == 0
+    assert doc["results"] == {"connectivity": "0"}
+    (g,) = graphs
+    assert "adjacency" not in g.__dict__
+
+
 def test_count_brute_agrees(tmp_path, capsys):
     path = write_graph(tmp_path, "k4.txt", "\n".join(f"{i} {j}" for i in range(4) for j in range(i + 1, 4)))
     code, doc = run_json(capsys, "count", path)
@@ -393,6 +406,34 @@ def test_formula_stanley_sums_once(capsys, monkeypatch):
     }
 
 
+def test_formula_stanley_past_the_old_term_guard(capsys):
+    # 2,704,156 sequences, which the term-by-term sum refused
+    code, doc = run_json(capsys, "formula", "stanley", "13", "13")
+    assert code == 0
+    _, kmn = run_json(capsys, "formula", "kmn", "13", "13")
+    assert doc["results"]["stanley"] == kmn["results"]["complete_bipartite"]
+
+
+def test_formula_stanley_work_guard_without_a_digit_limit():
+    # with no digit limit the work guard alone refuses (2, 5000)
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import shellings
+
+    src = str(Path(shellings.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONINTMAXSTRDIGITS="0")
+    result = subprocess.run([sys.executable, "-m", "shellings.cli", "formula", "stanley", "2", "5000"],
+                            env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: summation work past")
+    assert result.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("params", [["kn", "3000"], ["kmn", "60", "60"], ["path", "20000"],
                                     ["kmn", str(10**200), "3"], ["path", str(10**400)],
                                     ["stanley", "1", "200000"]])
@@ -551,7 +592,7 @@ def test_cli_options(tmp_path, capsys):
     assert options == {
         "count": ["--brute", "--no-crosscheck", "-h", "file"],
         "tree-roots": ["-h", "file"],
-        "formula": ["--max-stanley-terms", "-h", "family", "params"],
+        "formula": ["-h", "family", "params"],
         "bounds": ["-h", "file"],
         "verify": ["--max-n", "-h", "suite"],
         "gen": ["--seed", "-h", "kind", "params"],
@@ -562,6 +603,11 @@ def test_cli_options(tmp_path, capsys):
         main(["count", path, "--max-dp-edges", "3"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --max-dp-edges" in capsys.readouterr().err
+    # the summation's term guard and its option are gone
+    with pytest.raises(SystemExit) as exc:
+        main(["formula", "stanley", "2", "2", "--max-stanley-terms", "9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-stanley-terms" in capsys.readouterr().err
 
 
 def test_gen_outputs_parse(capsys):

@@ -1,14 +1,17 @@
+import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from itertools import accumulate, combinations
 from pathlib import Path
 
 import pytest
 
 import shellings
 from shellings.closed_forms import (
-    b_sequence,
+    MAX_STANLEY_WORK,
     complete_bipartite_count,
     complete_graph_count,
     path_count,
@@ -60,6 +63,34 @@ def test_complete_bipartite_matches_dp_small():
                 assert complete_bipartite_count(m, n) == count_shellings_dp(g)
 
 
+def b_sequence(alpha) -> tuple[int, ...]:
+    """b_i = 1 + #{j <= i : alpha_j != alpha_i} for a 0/1 sequence."""
+    zeros = ones = 0
+    out = []
+    for a in alpha:
+        if a == 0:
+            out.append(1 + ones)
+            zeros += 1
+        elif a == 1:
+            out.append(1 + zeros)
+            ones += 1
+        else:
+            raise ValueError(f"sequence entry {a} is not 0 or 1")
+    return tuple(out)
+
+
+def reference_inner_sum(m: int, n: int) -> Fraction:
+    """The paper's sum, term by term over every sequence of (m-1) zeros
+    and (n-1) ones: prod(b_i) / prod(suffix sums of b)."""
+    length = m + n - 2
+    total = Fraction(0)
+    for ones_at in combinations(range(length), n - 1):
+        alpha = [1 if i in ones_at else 0 for i in range(length)]
+        b = b_sequence(alpha)
+        total += Fraction(math.prod(b), math.prod(accumulate(reversed(b))))
+    return total
+
+
 def test_b_sequence():
     assert b_sequence((0, 1)) == (1, 2)
     assert b_sequence((1, 0)) == (1, 2)
@@ -76,15 +107,32 @@ def test_stanley_values():
     assert stanley_sum_count(2, 3) == 360
 
 
+def test_stanley_transfer_matches_sequence_sum():
+    for m in range(1, 8):
+        for n in range(1, 8):
+            inner = stanley_inner_sum(m, n)
+            assert isinstance(inner, Fraction)
+            assert inner == reference_inner_sum(m, n), (m, n)
+
+
 def test_stanley_matches_formula():
-    for m in range(1, 6):
-        for n in range(m, 6):
-            assert stanley_sum_count(m, n) == complete_bipartite_count(m, n)
+    for m in range(1, 31):
+        for n in range(1, 31):
+            assert stanley_sum_count(m, n) == complete_bipartite_count(m, n), (m, n)
 
 
 def test_stanley_guard():
-    with pytest.raises(GuardExceeded):
-        stanley_sum_count(40, 40, max_terms=1000)
+    # the bound is on m*n*(m+n): (2, 1413) is inside it, (2, 1414) past it
+    assert 2 * 1413 * 1415 <= MAX_STANLEY_WORK < 2 * 1414 * 1416
+    for shape in ((2, 1414), (1414, 2), (127, 127), (2, 5000), (10**6, 10**6)):
+        start = time.perf_counter()
+        with pytest.raises(GuardExceeded):
+            stanley_sum_count(*shape)
+        with pytest.raises(GuardExceeded):
+            stanley_inner_sum(*shape)
+        assert time.perf_counter() - start < 0.1
+    with pytest.raises(ValueError):
+        stanley_inner_sum(0, 3)
 
 
 def test_path_counts():
