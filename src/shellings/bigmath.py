@@ -79,15 +79,15 @@ def gbinom_lower_int(x: RatLike, y: int) -> Rat:
     """
     if y < 0:
         raise ValueError(f"gbinom_lower_int with negative lower entry {y}")
-    return rising(Fraction(x) - y + 1, y) / factorial(y)
+    return rising(Fraction(x) - (y - 1), y) / factorial(y)
 
 
 def gbinom_int_diff(x: RatLike, y: RatLike) -> Rat:
     """Generalized binomial C(x, y) for rational x, y with x - y in {0, 1, ...}.
 
-    Exactly evaluable because Gamma(x+1)/Gamma(y+1) collapses to the rising
-    product (y+1)(y+2)...(y + (x-y)); the result is that product over (x-y)!.
-    Requires y > -1 so the product never crosses a Gamma pole.
+    Gamma(x+1)/Gamma(y+1) collapses to the rising product (y+1)...(x), so
+    this is C(x, x - y) with an integer lower entry.  Requires y > -1 so the
+    product never crosses a Gamma pole.
     """
     x = Fraction(x)
     y = Fraction(y)
@@ -96,5 +96,4 @@ def gbinom_int_diff(x: RatLike, y: RatLike) -> Rat:
         raise ValueError(f"gbinom_int_diff requires x - y a nonnegative integer, got {diff}")
     if y <= -1:
         raise ValueError(f"gbinom_int_diff requires y > -1, got {y}")
-    d = int(diff)
-    return rising(y + 1, d) / factorial(d)
+    return gbinom_lower_int(x, int(diff))

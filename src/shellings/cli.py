@@ -14,26 +14,69 @@ import math
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
-from . import closed_forms, sweeps
-from .bounds import bound_report, mid_spider
-from .errors import EdgeListParseError, ExactnessError, GuardExceeded, NotATreeError
-from .graphs import (
-    Graph,
-    all_labeled_trees,
-    classify,
-    complete_bipartite_graph,
-    complete_graph,
-    parse_edge_list,
-    path_graph,
-    random_tree,
-)
+from . import bounds, closed_forms, graphs, sweeps
+from .bounds import bound_report
+from .errors import EdgeListParseError, ExactnessError, GuardExceeded
+from .graphs import Graph, classify, parse_edge_list
 from .oracle import count_shellings_dp
 from .report import Report, format_value
 from .trees import all_root_counts, root_tree, tree_count
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
+
+# Most edges one `gen` graph may have; at the bound gen kn 1414 takes about
+# 1.4 s and 200 MB (README's guard table).
+MAX_GEN_EDGES = 10**6
+
+
+class Formula(NamedTuple):
+    arity: int
+    key: str  # the result and timing key
+    closed_form: str  # the closed_forms function, looked up per call
+    ln: Callable[..., float]  # lgamma log of the value, 0 where the closed form refuses
+
+
+def _ln_complete(n: int) -> float:
+    # 2^(n-2) C(n,2)! / catalan(n-1), catalan(n-1) = (2n-2)! / ((n-1)! n!)
+    if n < 2:
+        return 0.0
+    lg = math.lgamma
+    return (n - 2) * math.log(2) + lg(n * (n - 1) // 2 + 1) - lg(2 * n - 1) + lg(n) + lg(n + 1)
+
+
+def _ln_bipartite(m: int, n: int) -> float:
+    # m! n! (mn)! / (m+n-1)!, which is also the summation's value
+    lg = math.lgamma
+    return lg(m + 1) + lg(n + 1) + lg(m * n + 1) - lg(m + n) if min(m, n) >= 1 else 0.0
+
+
+FORMULAS = {
+    "kn": Formula(1, "complete_graph", "complete_graph_count", _ln_complete),
+    "kmn": Formula(2, "complete_bipartite", "complete_bipartite_count", _ln_bipartite),
+    "stanley": Formula(2, "stanley", "stanley_inner_sum", _ln_bipartite),
+    "path": Formula(1, "path", "path_count", lambda n: (n - 2) * math.log(2) if n >= 2 else 0.0),
+}
+
+
+class GenKind(NamedTuple):
+    arity: int
+    size: Callable[..., tuple[int, int]]  # (vertices, edges) of the graph, before it is built
+    build: Callable  # the graph(s) from the parameters and --seed, looked up per call
+
+
+# edge counts are clamped at 0, so the builder refuses invalid parameters itself
+GENS = {
+    "tree": GenKind(1, lambda n: (n, n - 1), lambda n, seed: graphs.random_tree(n, seed)),
+    "all-trees": GenKind(1, lambda n: (n, n - 1), lambda n, _: graphs.all_labeled_trees(n)),
+    "kmn": GenKind(2, lambda m, n: (m + n, max(m, 0) * max(n, 0)),
+                   lambda m, n, _: graphs.complete_bipartite_graph(m, n)),
+    "kn": GenKind(1, lambda n: (n, math.comb(max(n, 0), 2)), lambda n, _: graphs.complete_graph(n)),
+    "path": GenKind(1, lambda n: (n, n - 1), lambda n, _: graphs.path_graph(n)),
+    "mid-spider": GenKind(2, lambda n, _: (n, n - 1), lambda n, ell, _: bounds.mid_spider(n, ell)),
+}
 
 
 def _read_graph(path: str) -> Graph:
@@ -55,7 +98,8 @@ def _graph_summary(g: Graph) -> dict:
     return summary
 
 
-def _emit(report: Report) -> None:
+def _emit(report: Report) -> int:
+    """Print the report; the exit code is CHECK_FAILURE if a check failed."""
     print(report.to_json())
     print(f"[{report.command}]", file=sys.stderr)
     for key, value in report.results.items():
@@ -65,6 +109,7 @@ def _emit(report: Report) -> None:
         if check.detail:
             line += f" ({check.detail})"
         print(line, file=sys.stderr)
+    return 0 if report.all_passed else CHECK_FAILURE
 
 
 def _timed(timing: dict, key: str, fn):
@@ -81,8 +126,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
     if "Disconnected" in tags:
         report.add_result("connectivity", 0)
-        _emit(report)
-        return 0
+        return _emit(report)
 
     if "Complete" in tags and g.num_vertices >= 2:
         value = _timed(report.timing, "complete_graph",
@@ -117,8 +161,7 @@ def cmd_count(args: argparse.Namespace) -> int:
                 value == report.results[primary],
                 f"{value} vs {report.results[primary]}",
             )
-    _emit(report)
-    return 0 if report.all_passed else CHECK_FAILURE
+    return _emit(report)
 
 
 def cmd_tree_roots(args: argparse.Namespace) -> int:
@@ -133,68 +176,28 @@ def cmd_tree_roots(args: argparse.Namespace) -> int:
         # quote only admitted values: 2 * total may pass the digit limit
         report.add_check("half_sum_consistency", sum(roots) == 2 * total,
                          f"sum of the root counts vs 2 * {report.results['total']}")
-    _emit(report)
-    return 0 if report.all_passed else CHECK_FAILURE
-
-
-def _log10_result(family: str, params: list[int]) -> float:
-    """log10 of a closed form's value, from math.lgamma, before anything is
-    computed; 0 where the formula refuses its parameters itself."""
-    lg = math.lgamma
-    try:
-        if family == "kn" and params[0] >= 2:
-            # 2^(n-2) C(n,2)! / catalan(n-1), catalan(n-1) = (2n-2)! / ((n-1)! n!)
-            n = params[0]
-            ln = ((n - 2) * math.log(2) + lg(n * (n - 1) // 2 + 1)
-                  - lg(2 * n - 1) + lg(n) + lg(n + 1))
-        elif family in ("kmn", "stanley") and min(params) >= 1:
-            # the summation's value is F(K_{m,n})
-            m, n = params
-            ln = lg(m + 1) + lg(n + 1) + lg(m * n + 1) - lg(m + n)
-        elif family == "path" and params[0] >= 2:
-            ln = (params[0] - 2) * math.log(2)
-        else:
-            return 0.0
-    except OverflowError:
-        return math.inf
-    return ln / math.log(10)
+    return _emit(report)
 
 
 def cmd_formula(args: argparse.Namespace) -> int:
-    report = Report("formula", input={"family": args.family, "params": args.params})
-    p = args.params
+    family, p = FORMULAS[args.family], args.params
+    report = Report("formula", input={"family": args.family, "params": p})
     limit = sys.get_int_max_str_digits()
-    log10 = _log10_result(args.family, p)
-    if limit and log10 >= limit:
-        print(f"error: the result would have more than {limit} decimal digits, the limit "
-              f"of int-to-str conversion (estimated log10 {log10:.6g})", file=sys.stderr)
-        return USAGE_ERROR
     try:
-        if args.family == "kn":
-            (n,) = p
-            report.add_result("complete_graph",
-                              _timed(report.timing, "complete_graph",
-                                     lambda: closed_forms.complete_graph_count(n)))
-        elif args.family == "kmn":
-            m, n = p
-            report.add_result("complete_bipartite",
-                              _timed(report.timing, "complete_bipartite",
-                                     lambda: closed_forms.complete_bipartite_count(m, n)))
-        elif args.family == "stanley":
-            m, n = p
-            inner = _timed(report.timing, "stanley",
-                           lambda: closed_forms.stanley_inner_sum(m, n))
-            report.add_result("stanley", closed_forms._stanley_count_from_sum(m, n, inner))
-            report.add_result("stanley_inner_sum", inner)
-        elif args.family == "path":
-            (n,) = p
-            report.add_result("path", _timed(report.timing, "path",
-                                             lambda: closed_forms.path_count(n)))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    _emit(report)
-    return 0
+        log10 = family.ln(*p) / math.log(10)
+    except OverflowError:
+        log10 = math.inf
+    if limit and log10 >= limit:
+        raise GuardExceeded(f"the result would have more than {limit} decimal digits, the "
+                            f"limit of int-to-str conversion (estimated log10 {log10:.6g})")
+    value = _timed(report.timing, family.key,
+                   lambda: getattr(closed_forms, family.closed_form)(*p))
+    if args.family == "stanley":  # the count, then the inner sum it is taken from
+        report.add_result("stanley", closed_forms._stanley_count_from_sum(*p, value))
+        report.add_result("stanley_inner_sum", value)
+    else:
+        report.add_result(family.key, value)
+    return _emit(report)
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
@@ -224,15 +227,13 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         for coeff, count in zip(br.per_root_weight_bounds, br.root_counts)
     )
     report.add_check("weight_bound_holds_every_root", weight_ok)
-    _emit(report)
-    return 0 if report.all_passed else CHECK_FAILURE
+    return _emit(report)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_n is not None and args.suite not in ("trees", "bounds", "all"):
-        print(f"error: verify {args.suite} takes no sweep size; --max-n is for "
-              "trees, bounds and all", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"verify {args.suite} takes no sweep size; --max-n is for "
+                         "trees, bounds and all")
     report = Report("verify", input={"suite": args.suite, "maxN": args.max_n})
     outcomes = _timed(report.timing, args.suite,
                       lambda: sweeps.run_suite(args.suite, args.max_n))
@@ -241,38 +242,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report.add_result("failures", failures)
     for o in outcomes:
         report.add_check(o.name, o.ok, o.detail)
-    _emit(report)
-    return 0 if failures == 0 else CHECK_FAILURE
+    return _emit(report)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    p = args.params
-    try:
-        if args.kind == "tree":
-            (n,) = p
-            sys.stdout.write(random_tree(n, args.seed).to_edge_list_text())
-        elif args.kind == "all-trees":
-            (n,) = p
-            total = n ** (n - 2) if n >= 2 else 1
-            for i, g in enumerate(all_labeled_trees(n)):
-                sys.stdout.write(f"# tree {i + 1}/{total}\n")
-                sys.stdout.write(g.to_edge_list_text())
-                sys.stdout.write("\n")
-        elif args.kind == "kmn":
-            m, n = p
-            sys.stdout.write(complete_bipartite_graph(m, n).to_edge_list_text())
-        elif args.kind == "kn":
-            (n,) = p
-            sys.stdout.write(complete_graph(n).to_edge_list_text())
-        elif args.kind == "path":
-            (n,) = p
-            sys.stdout.write(path_graph(n).to_edge_list_text())
-        elif args.kind == "mid-spider":
-            n, ell = p
-            sys.stdout.write(mid_spider(n, ell).to_edge_list_text())
-    except (ValueError, GuardExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    kind, p = GENS[args.kind], args.params
+    vertices, edges = kind.size(*p)
+    if vertices > graphs.MAX_VERTICES or edges > MAX_GEN_EDGES:
+        raise GuardExceeded(f"gen writes at most {graphs.MAX_VERTICES} vertices, the most an "
+                            f"edge list may hold, and {MAX_GEN_EDGES} edges")
+    built = kind.build(*p, args.seed)
+    if args.kind == "all-trees":  # each tree under a header and over a blank line
+        total = p[0] ** (p[0] - 2) if p[0] >= 2 else 1
+        for i, g in enumerate(built, 1):
+            sys.stdout.write(f"# tree {i}/{total}\n{g.to_edge_list_text()}\n")
+    else:
+        sys.stdout.write(built.to_edge_list_text())
     return 0
 
 
@@ -299,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_roots.set_defaults(func=cmd_tree_roots)
 
     p_formula = sub.add_parser("formula", help="evaluate a closed-form count")
-    p_formula.add_argument("family", choices=["kn", "kmn", "stanley", "path"])
+    p_formula.add_argument("family", choices=list(FORMULAS))
     p_formula.add_argument("params", type=int, nargs="+")
     p_formula.set_defaults(func=cmd_formula)
 
@@ -315,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="emit an edge-list file")
-    p_gen.add_argument("kind", choices=["tree", "all-trees", "kmn", "kn", "path", "mid-spider"])
+    p_gen.add_argument("kind", choices=list(GENS))
     p_gen.add_argument("params", type=int, nargs="+")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.set_defaults(func=cmd_gen)
@@ -325,20 +310,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    n_params = {"kn": 1, "kmn": 2, "stanley": 2, "path": 1,
-                "tree": 1, "all-trees": 1, "mid-spider": 2}
-    expected = n_params.get(getattr(args, "family", None) or getattr(args, "kind", None))
-    if expected is not None and len(args.params) != expected:
-        parser.error(f"expected {expected} parameter(s)")
+    spec = (FORMULAS[args.family] if args.command == "formula"
+            else GENS[args.kind] if args.command == "gen" else None)
+    if spec is not None and len(args.params) != spec.arity:
+        parser.error(f"expected {spec.arity} parameter(s)")
     try:
         return args.func(args)
     except EdgeListParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (GuardExceeded, NotATreeError) as exc:
+    except (FileNotFoundError, GuardExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except ExactnessError as exc:

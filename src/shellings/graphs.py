@@ -278,10 +278,8 @@ def all_labeled_trees(n: int) -> Iterator[Graph]:
     if not 1 <= n <= MAX_TREE_ENUM_N:
         raise GuardExceeded(f"all_labeled_trees supports 1 <= n <= {MAX_TREE_ENUM_N}, got {n}")
     if n == 1:
-        yield Graph.from_edges(1, [])
-        return
-    for seq in itertools.product(range(n), repeat=n - 2):
-        yield prufer_decode(seq, n)
+        return iter([Graph.from_edges(1, [])])
+    return (prufer_decode(seq, n) for seq in itertools.product(range(n), repeat=n - 2))
 
 
 def path_graph(n: int) -> Graph:

@@ -31,7 +31,7 @@ def format_value(value) -> str:
 @dataclass
 class CrossCheck:
     name: str
-    status: str  # pass | fail | skipped
+    status: str  # pass | fail
     detail: str = ""
 
     def to_dict(self) -> dict:
@@ -78,8 +78,8 @@ class Report:
             "timing": self.timing,
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Report":

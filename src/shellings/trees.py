@@ -125,7 +125,7 @@ def eccentricities(rt: RootedTree) -> list[int]:
 def hook_count(rt: RootedTree) -> Nat:
     """F(T_v) = n! / prod of subtree sizes; the division is exact."""
     n = len(rt.subtree_size)
-    return exact_div(factorial(n), math.prod(rt.subtree_size), "hook product must divide n!")
+    return exact_div(factorial(n), _product(rt.subtree_size), "hook product must divide n!")
 
 
 def all_root_counts(rt: RootedTree) -> list[Nat]:
@@ -158,6 +158,16 @@ def _pairwise(items: list, combine):
             merged.append(items[-1])
         items = merged
     return items[0]
+
+
+def _product(factors: tuple[int, ...]) -> int:
+    """The product of small factors such as subtree sizes: math.prod over
+    runs of 32, which is cheap while a run's product is short, then the
+    runs' products pairwise."""
+    if len(factors) <= 32:
+        return math.prod(factors)
+    runs = [math.prod(factors[i:i + 32]) for i in range(0, len(factors), 32)]
+    return _pairwise(runs, operator.mul)
 
 
 def _add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
@@ -215,6 +225,6 @@ def tree_count(g: Graph) -> Nat:
             s = size[head]
             light.setdefault(parent[head], []).append((s * p, (n - s) * q))
     # sum_v F(T_v) = n! / prod(sizes) * p / q
-    root_sum = exact_div(factorial(n) * p, _pairwise(list(size), operator.mul) * q,
+    root_sum = exact_div(factorial(n) * p, _product(size) * q,
                          "sum of rooted counts must be an integer")
     return exact_div(root_sum, 2, "sum of rooted counts must be even")

@@ -1,9 +1,10 @@
 import json
+import math
 
 import pytest
 
-from shellings import closed_forms
-from shellings.cli import main
+from shellings import bounds, closed_forms, graphs
+from shellings.cli import FORMULAS, GENS, MAX_GEN_EDGES, main
 from shellings.graphs import parse_edge_list
 from shellings.report import Report
 from shellings.trees import tree_count
@@ -24,6 +25,19 @@ def write_graph(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+# accepted parameters of every formula family
+FORMULA_PARAMS = {"kn": ["4"], "kmn": ["2", "3"], "stanley": ["2", "2"], "path": ["10"]}
+# every gen kind: accepted parameters, --seed, and the graphs its library builder returns
+GEN_CASES = {
+    "tree": (["10"], "3", lambda: [graphs.random_tree(10, 3)]),
+    "all-trees": (["4"], "0", lambda: list(graphs.all_labeled_trees(4))),
+    "kmn": (["2", "3"], "0", lambda: [graphs.complete_bipartite_graph(2, 3)]),
+    "kn": (["5"], "0", lambda: [graphs.complete_graph(5)]),
+    "path": (["6"], "0", lambda: [graphs.path_graph(6)]),
+    "mid-spider": (["7", "4"], "0", lambda: [bounds.mid_spider(7, 4)]),
+}
 
 
 def test_count_cycle(tmp_path, capsys):
@@ -212,6 +226,15 @@ def test_count_non_ascii_digits_exit_code(tmp_path, capsys, text):
     assert code == 2
     assert out == ""
     assert err.startswith("parse error: line ")
+
+
+def test_count_non_utf8_file_exit_code(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"0 1\n\xff\xfe\n")
+    code, out, err = run(capsys, "count", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: 'utf-8' codec can't decode") and err.count("\n") == 1
 
 
 def test_count_names_dp_strategy_in_timing(tmp_path, capsys):
@@ -478,6 +501,24 @@ def test_formula_bad_params(capsys):
     capsys.readouterr()
 
 
+def test_every_family_and_kind_has_a_case():
+    assert set(FORMULA_PARAMS) == set(FORMULAS)
+    assert set(GEN_CASES) == set(GENS)
+
+
+@pytest.mark.parametrize("command,name,params",
+                         [("formula", f, p) for f, p in FORMULA_PARAMS.items()]
+                         + [("gen", k, case[0]) for k, case in GEN_CASES.items()])
+def test_wrong_parameter_counts_exit_2(capsys, command, name, params):
+    code, out, _ = run(capsys, command, name, *params)
+    assert code == 0 and out
+    for wrong in (params[:-1], params + ["3"]):
+        with pytest.raises(SystemExit) as exc:
+            main([command, name, *wrong])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
 def test_bounds_command(tmp_path, capsys):
     path = write_graph(tmp_path, "star4.txt", "0 1\n0 2\n0 3\n")
     code, doc = run_json(capsys, "bounds", path)
@@ -618,6 +659,50 @@ def test_gen_outputs_parse(capsys):
     assert code == 0
     g = parse_edge_list(out)
     assert g.num_vertices == 7 and g.degree(2) == 4
+    # every kind parses back to the graphs of its library builder
+    for kind, (params, seed, expected) in GEN_CASES.items():
+        code, out, _ = run(capsys, "gen", kind, *params, "--seed", seed)
+        assert code == 0
+        chunks = [c for c in out.split("\n\n") if c.strip()]
+        assert [parse_edge_list(c) for c in chunks] == expected(), kind
+
+
+@pytest.mark.parametrize("params", [["path", "1000001"], ["kn", "20000"], ["kmn", "1000", "1001"],
+                                    ["all-trees", "1000000"]])
+def test_gen_refuses_graphs_past_its_limits_before_building(capsys, monkeypatch, params):
+    import time
+
+    def never(*args):
+        raise AssertionError("built a refused graph")
+
+    for name in ("path_graph", "complete_graph", "complete_bipartite_graph"):
+        monkeypatch.setattr(graphs, name, never)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gen", *params)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_gen_limits_admit_the_largest_graphs(monkeypatch, capsys):
+    # sized, not built: each builder returns a stand-in edge
+    edge = graphs.path_graph(2)
+    for name in ("path_graph", "complete_graph", "complete_bipartite_graph"):
+        monkeypatch.setattr(graphs, name, lambda *args: edge)
+    assert math.comb(1414, 2) <= MAX_GEN_EDGES < math.comb(1415, 2)
+    for params in (["kn", "1414"], ["kmn", "1000", "1000"], ["path", "1000000"]):
+        assert run(capsys, "gen", *params)[:2] == (0, "0 1\n")
+    for params in (["kn", "1415"], ["kmn", "1000", "1001"], ["kmn", "1", "1000000"]):
+        assert run(capsys, "gen", *params)[:2] == (2, "")
+
+
+@pytest.mark.parametrize("params,message", [(["kn", "-2000"], "complete_graph requires n >= 1"),
+                                            (["kmn", "-2000", "-2000"], "part sizes must be positive")])
+def test_gen_leaves_invalid_parameters_to_the_builder(capsys, params, message):
+    code, out, err = run(capsys, "gen", *params)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
 
 
 def test_gen_tree_deterministic(capsys):
@@ -633,6 +718,7 @@ def test_gen_all_trees_chunks(capsys):
     assert code == 0
     chunks = [c for c in out.split("\n\n") if c.strip()]
     assert len(chunks) == 3
+    assert [c.split("\n", 1)[0] for c in chunks] == ["# tree 1/3", "# tree 2/3", "# tree 3/3"]
     graphs = {parse_edge_list(c).edges for c in chunks}
     assert len(graphs) == 3
 

@@ -67,6 +67,14 @@ def test_hook_count_examples():
     assert hook_count(root_tree(DOUBLE_STAR, 0)) == 8
 
 
+def test_hook_count_past_one_run_of_factors():
+    # the subtree sizes are multiplied in runs of 32; every run must count
+    for g in (path_graph(100), random_tree(1000, 1)):
+        rt = root_tree(g, 0)
+        assert hook_count(rt) == math.factorial(g.num_vertices) // math.prod(rt.subtree_size)
+    assert tree_count(path_graph(100)) == 2**98
+
+
 def test_all_root_counts_examples():
     assert all_root_counts(root_tree(path_graph(5), 0)) == [1, 4, 6, 4, 1]
     assert all_root_counts(root_tree(DOUBLE_STAR, 0)) == [8, 12, 2, 3, 3]
